@@ -30,15 +30,20 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
-/// Number of worker threads to use for `requested` (0 = one per
-/// available CPU).
+/// Number of worker threads to use for `requested`: 0 means one per
+/// available CPU, and any larger request is clamped to
+/// [`std::thread::available_parallelism`] — these workers are
+/// CPU-bound, so threads beyond the core count only add contention
+/// (on a 2-vCPU host, 4 and 8 threads ran slower than 2). Every caller
+/// is thread-count invariant, so the cap never changes a result.
 pub fn resolve_threads(requested: usize) -> usize {
+    let cpus = std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(1);
     if requested == 0 {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
+        cpus
     } else {
-        requested
+        requested.min(cpus)
     }
 }
 
@@ -131,6 +136,17 @@ mod tests {
                 assert!(ranges.len() <= parts.min(len.max(1)));
             }
         }
+    }
+
+    #[test]
+    fn resolve_threads_caps_at_available_parallelism() {
+        let cpus = std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1);
+        assert_eq!(resolve_threads(0), cpus);
+        assert_eq!(resolve_threads(1), 1);
+        assert_eq!(resolve_threads(cpus), cpus);
+        assert_eq!(resolve_threads(cpus + 7), cpus);
     }
 
     #[test]

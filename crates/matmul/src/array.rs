@@ -13,6 +13,9 @@ pub struct LinearArray {
     pes: Vec<ProcessingElement>,
     mult_stages: u32,
     add_stages: u32,
+    /// The streamed `A` tile transposed to k-major order
+    /// (`a_t[k·rows + i] = A[i][k]`), reused across block products.
+    a_t: Vec<u64>,
     /// Total clock cycles consumed so far (across all calls).
     pub cycles: u64,
 }
@@ -62,6 +65,7 @@ impl LinearArray {
                 .collect(),
             mult_stages,
             add_stages,
+            a_t: Vec::new(),
             cycles: 0,
         }
     }
@@ -81,10 +85,18 @@ impl LinearArray {
     /// still in flight (double buffering, as in \[5\]).
     pub fn load_b(&mut self, bank: bool, b: &Matrix) {
         assert_eq!(b.cols(), self.pes.len(), "B columns must match PE count");
-        let n = b.rows();
+        self.load_b_columns(bank, b);
+    }
+
+    /// Fill every PE's `bank` with its column of `b`, straight from the
+    /// row-major buffer.
+    fn load_b_columns(&mut self, bank: bool, b: &Matrix) {
+        assert!(
+            self.pes.iter().all(|pe| pe.n() == b.rows()),
+            "B column length"
+        );
         for (j, pe) in self.pes.iter_mut().enumerate() {
-            let col: Vec<u64> = (0..n).map(|k| b.get(k, j)).collect();
-            pe.load_b_column(bank, &col);
+            pe.load_b_strided(bank, b.data(), j, b.cols());
         }
     }
 
@@ -96,10 +108,17 @@ impl LinearArray {
     pub fn load_b_tile(&mut self, bank: bool, b: &Matrix, cols: usize) {
         assert_eq!(cols, self.pes.len(), "tile columns must match PE count");
         assert!(b.cols() >= cols, "tile narrower than its real columns");
-        let n = b.rows();
-        for (j, pe) in self.pes.iter_mut().enumerate() {
-            let col: Vec<u64> = (0..n).map(|k| b.get(k, j)).collect();
-            pe.load_b_column(bank, &col);
+        self.load_b_columns(bank, b);
+    }
+
+    /// Transpose the leading `rows × steps` block of `a` into the reused
+    /// k-major buffer the column passes read.
+    fn transpose_a(&mut self, a: &Matrix, rows: usize, steps: usize) {
+        self.a_t.resize(rows * steps, 0);
+        for i in 0..rows {
+            for (k, &x) in a.row(i)[..steps].iter().enumerate() {
+                self.a_t[k * rows + i] = x;
+            }
         }
     }
 
@@ -143,7 +162,8 @@ impl LinearArray {
     }
 
     /// Batched twin of [`LinearArray::stream_a_tile_from_bank`]: the
-    /// real MACs run through the pipes' bulk fast path, the pad slots
+    /// tile is transposed once and every PE runs all its real MACs in
+    /// one [`ProcessingElement::mac_column_pass`], the pad slots
     /// are charged to the counters without simulating them (a zero
     /// operation touches no architectural state), and the cycle/idle
     /// accounting equals the per-cycle run's — so `C`, flags and stats
@@ -164,13 +184,9 @@ impl LinearArray {
         assert!((1..=b).contains(&rows) && (1..=b).contains(&steps));
         let period = (b as u32).max(self.pl()) as u64;
         let pads_per_real_step = period - rows as u64;
-        let mut a_col: Vec<u64> = Vec::with_capacity(rows);
-        for k in 0..steps {
-            a_col.clear();
-            a_col.extend((0..rows).map(|i| a.get(i, k)));
-            for pe in &mut self.pes {
-                pe.mac_step_batch(bank, k, &a_col, pads_per_real_step);
-            }
+        self.transpose_a(a, rows, steps);
+        for pe in &mut self.pes {
+            pe.mac_column_pass(bank, &self.a_t, rows, rows, steps, pads_per_real_step);
         }
         let all_pad_slots = (b - steps) as u64 * period;
         if all_pad_slots > 0 {
@@ -252,7 +268,7 @@ impl LinearArray {
     }
 
     /// [`LinearArray::stream_a`] through the PEs' batched fast path
-    /// ([`crate::pe::ProcessingElement::mac_step_batch`]): the delay
+    /// ([`crate::pe::ProcessingElement::mac_column_pass`]): the delay
     /// lines and token shift registers are bypassed, but the `C` matrix,
     /// exception flags and activity statistics come out bit-identical to
     /// per-cycle clocking, and the cycle count charged is exactly what
@@ -266,11 +282,9 @@ impl LinearArray {
         );
         let sched = Schedule::new(n as u32, self.pl());
         let pads_per_step = sched.padded_period() as u64 - n as u64;
-        for k in 0..n {
-            let a_col: Vec<u64> = (0..n).map(|i| a.get(i, k)).collect();
-            for pe in &mut self.pes {
-                pe.mac_step_batch(false, k, &a_col, pads_per_step);
-            }
+        self.transpose_a(a, n, n);
+        for pe in &mut self.pes {
+            pe.mac_column_pass(false, &self.a_t, n, n, n, pads_per_step);
         }
         let total = sched.issue_cycles() + self.pes.len() as u64 + self.pl() as u64 + 1;
         self.cycles += total;
@@ -283,8 +297,8 @@ impl LinearArray {
     /// [`LinearArray::stream_a_batched`] fanned out over up to
     /// `threads` scoped workers ([`fpfpga_fpu::parallel_chunks_mut`]):
     /// every PE owns disjoint state (its `B` banks, `C` column, pipes,
-    /// flags and counters), so each worker runs the complete k-loop for
-    /// its contiguous PE chunk and the result — values, flags, stats,
+    /// flags and counters), so each worker runs the complete column pass
+    /// for its contiguous PE chunk and the result — values, flags, stats,
     /// cycle accounting — is bit-identical for every thread count,
     /// including `1` (inline) and `0` (one worker per CPU).
     pub fn stream_a_batched_parallel(&mut self, a: &Matrix, threads: usize) -> u64 {
@@ -296,16 +310,12 @@ impl LinearArray {
         );
         let sched = Schedule::new(n as u32, self.pl());
         let pads_per_step = sched.padded_period() as u64 - n as u64;
-        // Hoist the column extraction once; all workers share the
-        // read-only columns.
-        let a_cols: Vec<Vec<u64>> = (0..n)
-            .map(|k| (0..n).map(|i| a.get(i, k)).collect())
-            .collect();
+        // Transpose once; all workers share the read-only k-major tile.
+        self.transpose_a(a, n, n);
+        let a_t = &self.a_t;
         fpfpga_fpu::parallel_chunks_mut(threads, &mut self.pes, |_, chunk| {
             for pe in chunk {
-                for (k, a_col) in a_cols.iter().enumerate() {
-                    pe.mac_step_batch(false, k, a_col, pads_per_step);
-                }
+                pe.mac_column_pass(false, a_t, n, n, n, pads_per_step);
             }
         });
         let total = sched.issue_cycles() + self.pes.len() as u64 + self.pl() as u64 + 1;
@@ -330,12 +340,19 @@ impl LinearArray {
     pub fn read_c(&self) -> Matrix {
         let n = self.pes[0].n();
         let mut c = Matrix::zero(self.fmt, n, self.pes.len());
+        self.read_c_rows_into(n, c.data_mut(), self.pes.len());
+        c
+    }
+
+    /// Copy the first `rows` rows of the accumulated `C` into `dest`,
+    /// row-major with row stride `stride`: `dest[i·stride + j]` receives
+    /// PE `j`'s entry `i`.
+    pub fn read_c_rows_into(&self, rows: usize, dest: &mut [u64], stride: usize) {
         for (j, pe) in self.pes.iter().enumerate() {
-            for (i, &bits) in pe.c_column().iter().enumerate() {
-                c.set(i, j, bits);
+            for (i, &bits) in pe.c_column()[..rows].iter().enumerate() {
+                dest[i * stride + j] = bits;
             }
         }
-        c
     }
 
     /// One-shot `C = A·B` for n×n operands on an n-PE array.

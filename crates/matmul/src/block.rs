@@ -242,16 +242,16 @@ impl BlockMatMul {
     /// is `(bi·b, bj·b)` into `dest`.
     pub fn copy_tile(src: &Matrix, bi: usize, bj: usize, b: usize, dest: &mut Matrix) {
         debug_assert_eq!((dest.rows(), dest.cols()), (b, b));
+        let col0 = (bj * b).min(src.cols());
+        let cols = (src.cols() - col0).min(b);
         for i in 0..b {
+            let row = dest.row_mut(i);
             let si = bi * b + i;
-            for j in 0..b {
-                let sj = bj * b + j;
-                let bits = if si < src.rows() && sj < src.cols() {
-                    src.get(si, sj)
-                } else {
-                    0
-                };
-                dest.set(i, j, bits);
+            if si < src.rows() {
+                row[..cols].copy_from_slice(&src.row(si)[col0..col0 + cols]);
+                row[cols..].fill(0);
+            } else {
+                row.fill(0);
             }
         }
     }
@@ -308,12 +308,8 @@ impl BlockMatMul {
                     arr.stream_a_tile_from_bank(&a_buf, rows, steps, bank);
                 }
                 arr.drain();
-                let c_blk = arr.read_c();
-                for i in 0..rows {
-                    for j in 0..cols {
-                        c.set(ti * bs + i, tj * bs + j, c_blk.get(i, j));
-                    }
-                }
+                let n = c.cols();
+                arr.read_c_rows_into(rows, &mut c.data_mut()[ti * bs * n + tj * bs..], n);
                 stats.merge(arr.stats());
                 flags |= arr.flags();
             }

@@ -119,6 +119,21 @@ impl Matrix {
         &self.data
     }
 
+    /// Raw data, row-major, mutable.
+    pub fn data_mut(&mut self) -> &mut [u64] {
+        &mut self.data
+    }
+
+    /// Row `i` (raw bits).
+    pub fn row(&self, i: usize) -> &[u64] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Row `i`, mutable (raw bits).
+    pub fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
     /// Maximum absolute elementwise difference from `other`, in `f64`.
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));

@@ -232,7 +232,9 @@ impl MultiMatMul {
         let results = fpfpga_fpu::parallel_map_slice(threads, &jobs, |_, tiles| {
             let mut stats = ArrayStats::default();
             let mut flags = Flags::NONE;
-            let mut out: Vec<(usize, usize, Matrix)> = Vec::with_capacity(tiles.len());
+            // Every finished tile's rows×cols values, row-major, back to
+            // back in tile order.
+            let mut out: Vec<u64> = Vec::new();
             if tiles.is_empty() {
                 return (out, stats, flags);
             }
@@ -257,16 +259,11 @@ impl MultiMatMul {
                     arr.stream_a_tile_batched(&a_buf, rows, steps, bank);
                 }
                 arr.drain_batched();
-                let c_blk = arr.read_c();
-                let mut tile = Matrix::zero(fmt, rows, cols);
-                for i in 0..rows {
-                    for j in 0..cols {
-                        tile.set(i, j, c_blk.get(i, j));
-                    }
-                }
+                let off = out.len();
+                out.resize(off + rows * cols, 0);
+                arr.read_c_rows_into(rows, &mut out[off..], cols);
                 stats.merge(arr.stats());
                 flags |= arr.flags();
-                out.push((ti, tj, tile));
             }
             resident.fetch_sub(2, Ordering::SeqCst);
             (out, stats, flags)
@@ -280,16 +277,18 @@ impl MultiMatMul {
             tile_fetches: fetches.load(Ordering::Relaxed),
             peak_resident_tiles: peak.load(Ordering::SeqCst),
         };
-        for (tiles, stats, flags) in results {
+        for ((vals, stats, flags), tiles) in results.into_iter().zip(&jobs) {
             multi.per_array.push(stats);
             multi.total.merge(stats);
             multi.flags |= flags;
-            for (ti, tj, tile) in tiles {
-                for i in 0..tile.rows() {
-                    for j in 0..tile.cols() {
-                        c.set(ti * bs + i, tj * bs + j, tile.get(i, j));
-                    }
+            let mut tile_vals = vals.as_slice();
+            for &(ti, tj) in tiles {
+                let (rows, cols) = (plan.tile_rows(ti), plan.tile_cols(tj));
+                let (tile, rest) = tile_vals.split_at(rows * cols);
+                for (i, src) in tile.chunks_exact(cols).enumerate() {
+                    c.row_mut(ti * bs + i)[tj * bs..][..cols].copy_from_slice(src);
                 }
+                tile_vals = rest;
             }
         }
         Ok((c, multi))

@@ -38,6 +38,8 @@ pub struct PeStats {
 /// One processing element of the linear array.
 pub struct ProcessingElement {
     fmt: FpFormat,
+    mode: RoundMode,
+    backend: UnitBackend,
     /// Double-buffered columns of `B` owned by this PE, indexed by step
     /// `k`; the control token's bank bit selects which buffer a MAC
     /// reads, so the next block's column can load while tokens of the
@@ -58,11 +60,6 @@ pub struct ProcessingElement {
     pub flags: Flags,
     /// Activity counters.
     pub stats: PeStats,
-    /// Scratch buffers reused across [`ProcessingElement::mac_step_batch`]
-    /// calls so the batched kernel allocates nothing per step.
-    scratch_pairs: Vec<(u64, u64)>,
-    scratch_mul: Vec<(u64, Flags)>,
-    scratch_add: Vec<(u64, Flags)>,
 }
 
 impl ProcessingElement {
@@ -100,6 +97,8 @@ impl ProcessingElement {
         };
         ProcessingElement {
             fmt,
+            mode,
+            backend,
             b_banks: [vec![0; n], vec![0; n]],
             c_col: vec![0; n],
             mult,
@@ -109,9 +108,6 @@ impl ProcessingElement {
             token_out: None,
             flags: Flags::NONE,
             stats: PeStats::default(),
-            scratch_pairs: Vec::new(),
-            scratch_mul: Vec::new(),
-            scratch_add: Vec::new(),
         }
     }
 
@@ -121,6 +117,22 @@ impl ProcessingElement {
         assert_eq!(col.len(), buf.len(), "B column length");
         buf.copy_from_slice(col);
         self.stats.bram_accesses += col.len() as u64;
+    }
+
+    /// Load this PE's column of `B` into `bank` straight from a
+    /// row-major matrix buffer: entry `k` is `data[offset + k·stride]`.
+    pub(crate) fn load_b_strided(
+        &mut self,
+        bank: bool,
+        data: &[u64],
+        offset: usize,
+        stride: usize,
+    ) {
+        let buf = &mut self.b_banks[bank as usize];
+        for (k, slot) in buf.iter_mut().enumerate() {
+            *slot = data[offset + k * stride];
+        }
+        self.stats.bram_accesses += buf.len() as u64;
     }
 
     /// Clear the accumulator column.
@@ -222,49 +234,68 @@ impl ProcessingElement {
         self.fmt
     }
 
-    /// Bulk execution of one schedule step: every row's MAC for column
-    /// pass `k` runs through the pipes' batched fast path
-    /// ([`FpPipe::run_batch`]) in two calls instead of `PL`·rows clocks.
+    /// Bulk execution of a whole block product: `steps` schedule steps
+    /// of `rows` MACs each, `c[i] += a_t[k·stride + i] · b[k]` for `k`
+    /// ascending, where `a_t` is the k-major (transposed) `A` tile and
+    /// `b` this PE's column in `bank`.
+    ///
+    /// The Fast backend runs the fused register-resident column kernel
+    /// ([`fpfpga_softfp::fastpath::mac_column`]); the Structural backend
+    /// streams each step through its pipes' batched path
+    /// ([`FpPipe::run_batch_into`]).
     ///
     /// Valid exactly when the surrounding schedule is hazard-free — any
     /// two updates of the same `C` entry at least one padded period
     /// (≥ PL) apart, which is what `Schedule` guarantees by padding.
     /// Then results, flags and MAC/BRAM activity counts are
-    /// bit-identical to per-cycle clocking; `pads` records the step's
-    /// padding issues for the energy model.
-    pub fn mac_step_batch(&mut self, bank: bool, k: usize, a_col: &[u64], pads: u64) {
-        let bk = self.b_banks[bank as usize][k];
-        self.scratch_pairs.clear();
-        self.scratch_pairs.extend(a_col.iter().map(|&a| (a, bk)));
-        self.scratch_mul.clear();
-        self.mult
-            .run_batch_into(&self.scratch_pairs, &mut self.scratch_mul);
-        debug_assert_eq!(
-            self.scratch_mul.len(),
-            a_col.len(),
-            "mult pipe was not empty"
-        );
-        self.scratch_pairs.clear();
-        for (i, &(p, pf)) in self.scratch_mul.iter().enumerate() {
-            self.flags |= pf;
-            self.scratch_pairs.push((p, self.c_col[i]));
+    /// bit-identical to per-cycle clocking; `pads_per_step` records each
+    /// step's padding issues for the energy model.
+    pub fn mac_column_pass(
+        &mut self,
+        bank: bool,
+        a_t: &[u64],
+        stride: usize,
+        rows: usize,
+        steps: usize,
+        pads_per_step: u64,
+    ) {
+        let b = &self.b_banks[bank as usize][..steps];
+        let c = &mut self.c_col[..rows];
+        match self.backend {
+            UnitBackend::Fast => {
+                self.flags |= fpfpga_softfp::fastpath::mac_column(
+                    self.fmt, a_t, stride, rows, b, c, self.mode,
+                );
+            }
+            UnitBackend::Structural => {
+                let mut pairs = Vec::with_capacity(rows);
+                let mut products = Vec::with_capacity(rows);
+                let mut sums = Vec::with_capacity(rows);
+                for (k, &bk) in b.iter().enumerate() {
+                    pairs.clear();
+                    pairs.extend(a_t[k * stride..][..rows].iter().map(|&a| (a, bk)));
+                    products.clear();
+                    self.mult.run_batch_into(&pairs, &mut products);
+                    debug_assert_eq!(products.len(), rows, "mult pipe was not empty");
+                    pairs.clear();
+                    for (&(p, pf), &ci) in products.iter().zip(c.iter()) {
+                        self.flags |= pf;
+                        pairs.push((p, ci));
+                    }
+                    sums.clear();
+                    self.add.run_batch_into(&pairs, &mut sums);
+                    debug_assert_eq!(sums.len(), rows, "add pipe was not empty");
+                    for (ci, &(s, sf)) in c.iter_mut().zip(&sums) {
+                        self.flags |= sf;
+                        *ci = s;
+                    }
+                }
+            }
         }
-        self.scratch_add.clear();
-        self.add
-            .run_batch_into(&self.scratch_pairs, &mut self.scratch_add);
-        debug_assert_eq!(
-            self.scratch_add.len(),
-            a_col.len(),
-            "add pipe was not empty"
-        );
-        for (i, &(s, sf)) in self.scratch_add.iter().enumerate() {
-            self.flags |= sf;
-            self.c_col[i] = s;
-        }
-        let n = a_col.len() as u64;
-        self.stats.useful_macs += n;
-        self.stats.pad_macs += pads;
-        self.stats.bram_accesses += 3 * n; // B read + C read + C write per MAC
+        let macs = (rows * steps) as u64;
+        self.stats.useful_macs += macs;
+        self.stats.pad_macs += pads_per_step * steps as u64;
+        self.stats.bram_accesses += 3 * macs; // B read + C read + C write per MAC
     }
 
     /// Charge `pads` padding issues without running the pipes: a
@@ -417,6 +448,43 @@ mod tests {
         assert!(out0.is_none());
         let out1 = pe.clock(None);
         assert_eq!(out1, Some(t));
+    }
+
+    #[test]
+    fn column_pass_structural_matches_fast() {
+        // 11 rows (a full 8-lane chunk plus a tail), 9 steps, a strided
+        // k-major tile, and operands that overflow, flush and go special.
+        let (rows, steps, stride) = (11usize, 9usize, 13usize);
+        let a_t: Vec<u64> = (0..(steps - 1) * stride + rows)
+            .map(|t| match t % 17 {
+                3 => f(f32::MAX),
+                7 => f(f32::MIN_POSITIVE),
+                11 => f(f32::INFINITY),
+                13 => 0,
+                _ => f((t as f32 * 0.37).sin() * 5.0),
+            })
+            .collect();
+        let b: Vec<u64> = (0..rows as u32)
+            .map(|k| f(if k == 4 { 0.5 } else { 1.0 + k as f32 * 0.25 }))
+            .collect();
+        let run = |backend: UnitBackend| {
+            let mut pe = ProcessingElement::new(
+                FpFormat::SINGLE,
+                RoundMode::NearestEven,
+                4,
+                5,
+                rows,
+                backend,
+            );
+            pe.load_b_column(true, &b);
+            pe.mac_column_pass(true, &a_t, stride, rows, steps, 3);
+            (pe.c_column().to_vec(), pe.flags, pe.stats)
+        };
+        let fast = run(UnitBackend::Fast);
+        assert_eq!(fast, run(UnitBackend::Structural));
+        assert!(fast.1.overflow && fast.1.underflow);
+        assert_eq!(fast.2.useful_macs, (rows * steps) as u64);
+        assert_eq!(fast.2.pad_macs, 3 * steps as u64);
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! every combination — accumulation order per output tile is a pure
 //! function of the plan, never of the array or thread count.
 //!
+//! A second proptest draws block sizes of 8–40 so the fused column
+//! kernel runs full 8-row vector chunks, with injected specials forcing
+//! its per-lane fixups.
+//!
 //! The deterministic CI sweep honors `FPFPGA_MULTI_THREADS` so the
 //! equivalence suite can be pinned to a specific thread count
 //! (CI runs it at 2).
@@ -161,6 +165,91 @@ proptest! {
             prop_assert_eq!(c.rows(), m);
             prop_assert_eq!(c.cols(), n);
         }
+    }
+}
+
+/// Overwrite about `pct`% of `m`'s entries with the encodings that
+/// leave the fused column kernel's vector lane: ±0, ±∞, a NaN pattern,
+/// ±max-finite, min-normal and denormal patterns.
+fn inject_specials(m: &mut Matrix, pct: u64, mut seed: u64) {
+    let fmt = m.format();
+    let sign = 1u64 << fmt.sign_shift();
+    let specials = [
+        0,
+        sign,
+        fmt.pos_inf(),
+        fmt.neg_inf(),
+        fmt.pack(false, fmt.inf_biased_exp(), 1),
+        fmt.max_finite(),
+        fmt.max_finite() | sign,
+        fmt.min_positive(),
+        fmt.pack(false, 0, 1),
+        fmt.pack(true, 0, fmt.frac_mask()),
+    ];
+    for x in m.data_mut() {
+        seed = seed
+            .wrapping_mul(0x5851_F42D_4C95_7F2D)
+            .wrapping_add(0x1405_7B7E_F767_814F);
+        let r = seed >> 33;
+        if r % 100 < pct {
+            *x = specials[(r / 100) as usize % specials.len()];
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Block sizes of 8–40 put full 8-row vector chunks, their
+    /// fixup lanes and ragged row tails on the fused column pass.
+    /// Values, flags, per-array stats and fetch counts must match the
+    /// per-cycle blocked run, the softfp reference and the plan.
+    #[test]
+    fn multi_at_simd_widths_matches_per_cycle_and_reference(
+        m in 1u32..97,
+        k in 1u32..97,
+        n in 1u32..97,
+        b in 8u32..41,
+        lm in 2u32..7,
+        la in 2u32..7,
+        arrays in 1u32..9,
+        threads in 1usize..3,
+        fmt_ix in 0u8..3,
+        special_pct in 0u64..4,
+        seed in any::<u64>(),
+    ) {
+        let fmt = fmt_of(fmt_ix);
+        let mut a = seeded_matrix(fmt, m as usize, k as usize, seed);
+        let mut bm = seeded_matrix(fmt, k as usize, n as usize, seed ^ 0x3C3C);
+        inject_specials(&mut a, special_pct, seed);
+        inject_specials(&mut bm, special_pct, !seed);
+        let plan = BlockMatMul::new(m, k, n, b, lm + la).unwrap();
+        let (c_cyc, s_cyc, f_cyc) = plan.run(fmt, RM, lm, la, &a, &bm, UnitBackend::Fast).unwrap();
+        let (want, want_flags) = reference_matmul_flags(&a, &bm, RM);
+        prop_assert_eq!(&c_cyc, &want, "per-cycle vs reference");
+        prop_assert_eq!(f_cyc, want_flags);
+
+        let mm = MultiMatMul { plan, arrays };
+        let (c, stats) = mm.run(RM, lm, la, &a, &bm, UnitBackend::Fast, threads).unwrap();
+        let what = format!("m={m} k={k} n={n} b={b} arrays={arrays} threads={threads} {fmt}");
+        prop_assert_eq!(&c, &want, "{}", what);
+        prop_assert_eq!(stats.flags, want_flags, "flags {}", what);
+        prop_assert_eq!(stats.total, s_cyc, "summed stats {}", what);
+        prop_assert_eq!(stats.tile_fetches, 2 * plan.block_products(), "fetches {}", what);
+        // Each array's stats are those of its own tiles' per-cycle runs.
+        let issue = plan.block_schedule().issue_cycles();
+        for (r, got) in stats.per_array.iter().enumerate() {
+            let (mut cycles, mut useful) = (0u64, 0u64);
+            for (ti, tj) in mm.tiles_of(r as u32) {
+                let (rows, cols) = (plan.tile_rows(ti) as u64, plan.tile_cols(tj) as u64);
+                cycles += plan.tiles_k() as u64 * issue + cols + plan.pl as u64 + 1;
+                useful += rows * cols * k as u64;
+            }
+            prop_assert_eq!(got.cycles, cycles, "array {} cycles {}", r, what);
+            prop_assert_eq!(got.useful_macs, useful, "array {} MACs {}", r, what);
+        }
+        let (_, other) = mm.run(RM, lm, la, &a, &bm, UnitBackend::Fast, 3 - threads).unwrap();
+        prop_assert_eq!(&other.per_array, &stats.per_array, "per-array stats {}", what);
     }
 }
 

@@ -840,6 +840,136 @@ pub fn mul_bcast_batch(
     );
 }
 
+// ---------------------------------------------------------------------------
+// Fused multiply-accumulate column pass
+// ---------------------------------------------------------------------------
+
+/// Panic unless `(a_t, stride, rows, b, c)` describe a valid
+/// [`mac_column`] call.
+pub(crate) fn check_mac_shape(
+    a_len: usize,
+    stride: usize,
+    rows: usize,
+    steps: usize,
+    c_len: usize,
+) {
+    assert!(
+        c_len >= rows,
+        "mac_column: c holds {c_len} rows, need {rows}"
+    );
+    if rows > 0 && steps > 0 {
+        let need = (steps - 1) * stride + rows;
+        assert!(
+            a_len >= need,
+            "mac_column: a_t holds {a_len} words, need {need}"
+        );
+    }
+}
+
+/// The scalar MAC column loop over `rows`: each accumulator lives in a
+/// local across all `k` steps, and `mul`/`add` are the per-format
+/// scalar kernels.
+#[inline(always)]
+pub(crate) fn mac_rows(
+    a_t: &[u64],
+    stride: usize,
+    rows: std::ops::Range<usize>,
+    b: &[u64],
+    c: &mut [u64],
+    mul: impl Fn(u64, u64) -> (u64, Flags),
+    add: impl Fn(u64, u64) -> (u64, Flags),
+) -> Flags {
+    let mut flags = Flags::NONE;
+    for i in rows {
+        let mut acc = c[i];
+        for (k, &bk) in b.iter().enumerate() {
+            let (p, pf) = mul(a_t[k * stride + i], bk);
+            let (s, sf) = add(p, acc);
+            acc = s;
+            flags |= pf | sf;
+        }
+        c[i] = acc;
+    }
+    flags
+}
+
+/// Scalar twin of [`mac_column`] (the `ForceScalar` engine, non-AVX2
+/// hosts and dynamic formats).
+pub(crate) fn mac_column_scalar(
+    fmt: FpFormat,
+    a_t: &[u64],
+    stride: usize,
+    rows: usize,
+    b: &[u64],
+    c: &mut [u64],
+    mode: RoundMode,
+) -> Flags {
+    macro_rules! named {
+        ($e:literal, $f:literal) => {
+            mac_rows(
+                a_t,
+                stride,
+                0..rows,
+                b,
+                c,
+                |x, y| mul::<$e, $f>(x, y, mode),
+                |x, y| add::<$e, $f>(x, y, mode),
+            )
+        };
+    }
+    match lane_of(fmt) {
+        Lane::Single => named!(8, 23),
+        Lane::W48 => named!(11, 36),
+        Lane::Double => named!(11, 52),
+        Lane::Dyn => mac_rows(
+            a_t,
+            stride,
+            0..rows,
+            b,
+            c,
+            |x, y| mul_dyn(fmt, x, y, mode),
+            |x, y| add_dyn(fmt, x, y, mode),
+        ),
+    }
+}
+
+/// Fused multiply-accumulate column pass — the matmul PE's whole block
+/// product in one call. For `k` ascending over `b` and each row
+/// `i < rows`:
+///
+/// ```text
+/// c[i] = add(mul(a_t[k·stride + i], b[k]), c[i])
+/// ```
+///
+/// with two roundings and the adder's operand order (product,
+/// accumulator) — bit-identical, results and flags, to the loop of
+/// [`mul_bits`] then [`add_bits`]. `a_t` is the k-major (transposed)
+/// `A` tile. Returns the OR of every operation's exception flags.
+///
+/// Wide engines keep an 8-row chunk of `c` in a register across all
+/// steps; lanes whose inputs, product or accumulator are not normal are
+/// redone for that step through the scalar kernels. The scalar engine
+/// and dynamic formats run a scalar twin.
+///
+/// # Panics
+/// Panics if `c.len() < rows` or `a_t` is shorter than
+/// `(b.len() - 1)·stride + rows` (for non-empty `b` and `rows`).
+pub fn mac_column(
+    fmt: FpFormat,
+    a_t: &[u64],
+    stride: usize,
+    rows: usize,
+    b: &[u64],
+    c: &mut [u64],
+    mode: RoundMode,
+) -> Flags {
+    check_mac_shape(a_t.len(), stride, rows, b.len(), c.len());
+    if let Some(flags) = simd::try_mac_column(fmt, a_t, stride, rows, b, c, mode) {
+        return flags;
+    }
+    mac_column_scalar(fmt, a_t, stride, rows, b, c, mode)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

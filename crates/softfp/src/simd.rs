@@ -25,6 +25,11 @@
 //!   splitting the batch into runs: all-normal runs shorter than a chunk
 //!   would fragment the vector loop on exactly the workloads that have
 //!   occasional specials.
+//! * **A fused MAC column driver** behind [`fastpath::mac_column`]: the
+//!   matmul PE's whole block product with each [`LANES`]-row chunk of the
+//!   accumulator column held in one register across every `k` step, no
+//!   per-element result records, and non-normal lanes (inputs, product or
+//!   accumulator) redone for just that step through the scalar kernels.
 //! * **Explicit intrinsics engines** behind the `Words` trait: the
 //!   block kernels are generic over a lane-word vocabulary (shifts,
 //!   compares-to-mask, select, msb scan, 32×32 multiply), and each
@@ -1693,6 +1698,76 @@ fn fma_driver<W: Words, const E: u32, const F: u32>(
     }
 }
 
+/// Fused MAC column driver ([`fastpath::mac_column`]): each full
+/// [`LANES`]-row chunk of `c` stays in one register across every `k`
+/// step — one contiguous `a_t` load, one broadcast `b[k]`, `mul_block`
+/// then `add_block` — and only the OR of the packed flag words is kept.
+/// A lane whose inputs, product or accumulator are not normal is redone
+/// for that step through the scalar kernels; the sub-chunk row tail
+/// runs the scalar loop.
+#[inline(always)]
+fn mac_driver<W: Words, const E: u32, const F: u32>(
+    a_t: &[u64],
+    stride: usize,
+    rows: usize,
+    b: &[u64],
+    c: &mut [u64],
+    mode: RoundMode,
+) -> Flags {
+    let rtn = mode == RoundMode::NearestEven;
+    let full = rows - rows % LANES;
+    let mul = |x, y| fastpath::mul::<E, F>(x, y, mode);
+    let add = |x, y| fastpath::add::<E, F>(x, y, mode);
+    let mut flags = Flags::NONE;
+    // SAFETY: `W`'s engine was selected by positive runtime feature
+    // detection (the dispatch layer's invariant); the portable engine
+    // has no requirement. Every access is a bounds-checked slice.
+    let packed = unsafe {
+        let zero = W::splat(0);
+        let mut fl = zero;
+        for i in (0..full).step_by(LANES) {
+            let chunk: &mut [u64; LANES] = (&mut c[i..i + LANES]).try_into().expect("chunk");
+            let mut acc = W::load(chunk);
+            for (k, &bk) in b.iter().enumerate() {
+                let xs: &[u64; LANES] = a_t[k * stride + i..][..LANES].try_into().expect("chunk");
+                let va = W::load(xs);
+                let (p, pf) = mul_block::<W, E, F>(va, W::splat(bk), rtn);
+                let (s, sf) = add_block::<W, E, F>(p, acc, rtn);
+                let ok = W::mand(
+                    W::mand(
+                        vnormal::<W, E, F>(va),
+                        W::mbool(fastpath::is_normal(E, F, bk)),
+                    ),
+                    W::mand(vnormal::<W, E, F>(p), vnormal::<W, E, F>(acc)),
+                );
+                if W::mall(ok) {
+                    acc = s;
+                    fl = fl.vor(pf).vor(sf);
+                } else {
+                    fl = fl.vor(W::sel(ok, pf.vor(sf), zero));
+                    let mut lanes = [0u64; LANES];
+                    W::sel(ok, s, acc).store(&mut lanes);
+                    let kept = W::mbits(ok);
+                    for (l, lane) in lanes.iter_mut().enumerate() {
+                        if kept & (1 << l) == 0 {
+                            let (p, pf) = mul(xs[l], bk);
+                            let (s, sf) = add(p, *lane);
+                            *lane = s;
+                            flags |= pf | sf;
+                        }
+                    }
+                    acc = W::load(&lanes);
+                }
+            }
+            acc.store(chunk);
+        }
+        let mut words = [0u64; LANES];
+        fl.store(&mut words);
+        words.iter().fold(0, |a, &w| a | w)
+    };
+    flags | unpack_flags(packed) | fastpath::mac_rows(a_t, stride, full..rows, b, c, mul, add)
+}
+
 // The intrinsics engines need monomorphizations of the generic drivers
 // whose call contexts carry the matching `#[target_feature]` set, so the
 // engine methods (and through them the intrinsics) inline into the chunk
@@ -1754,6 +1829,30 @@ mod engine {
     ) {
         super::fma_driver::<W5, E, F>(n, load_chunk, load_one, mode, out, specials)
     }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn mac_driver_tf<const E: u32, const F: u32>(
+        a_t: &[u64],
+        stride: usize,
+        rows: usize,
+        b: &[u64],
+        c: &mut [u64],
+        mode: RoundMode,
+    ) -> Flags {
+        super::mac_driver::<W2, E, F>(a_t, stride, rows, b, c, mode)
+    }
+
+    #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
+    pub(super) unsafe fn mac_driver_512<const E: u32, const F: u32>(
+        a_t: &[u64],
+        stride: usize,
+        rows: usize,
+        b: &[u64],
+        c: &mut [u64],
+        mode: RoundMode,
+    ) -> Flags {
+        super::mac_driver::<W5, E, F>(a_t, stride, rows, b, c, mode)
+    }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -1807,6 +1906,28 @@ mod engine {
     ) {
         super::fma_driver::<Wp, E, F>(n, load_chunk, load_one, mode, out, specials)
     }
+
+    pub(super) unsafe fn mac_driver_tf<const E: u32, const F: u32>(
+        a_t: &[u64],
+        stride: usize,
+        rows: usize,
+        b: &[u64],
+        c: &mut [u64],
+        mode: RoundMode,
+    ) -> Flags {
+        super::mac_driver::<Wp, E, F>(a_t, stride, rows, b, c, mode)
+    }
+
+    pub(super) unsafe fn mac_driver_512<const E: u32, const F: u32>(
+        a_t: &[u64],
+        stride: usize,
+        rows: usize,
+        b: &[u64],
+        c: &mut [u64],
+        mode: RoundMode,
+    ) -> Flags {
+        super::mac_driver::<Wp, E, F>(a_t, stride, rows, b, c, mode)
+    }
 }
 
 /// Dispatch a driver over (named lane × engine). The AVX2/AVX-512 arms
@@ -1838,6 +1959,20 @@ macro_rules! wide_dispatch {
             (Lane::Double, SimdEngine::WideAvx512) => unsafe { engine::fma_driver_512::<11, 52>($($arg),*) },
             (Lane::Double, SimdEngine::WideAvx2) => unsafe { engine::fma_driver_tf::<11, 52>($($arg),*) },
             (Lane::Double, _) => fma_driver::<Wp, 11, 52>($($arg),*),
+            (Lane::Dyn, _) => unreachable!("wide dispatch requires a named lane"),
+        }
+    };
+    (mac, $eng:expr, $lane:expr, $($arg:expr),*) => {
+        match ($lane, $eng) {
+            (Lane::Single, SimdEngine::WideAvx512) => unsafe { engine::mac_driver_512::<8, 23>($($arg),*) },
+            (Lane::Single, SimdEngine::WideAvx2) => unsafe { engine::mac_driver_tf::<8, 23>($($arg),*) },
+            (Lane::Single, _) => mac_driver::<Wp, 8, 23>($($arg),*),
+            (Lane::W48, SimdEngine::WideAvx512) => unsafe { engine::mac_driver_512::<11, 36>($($arg),*) },
+            (Lane::W48, SimdEngine::WideAvx2) => unsafe { engine::mac_driver_tf::<11, 36>($($arg),*) },
+            (Lane::W48, _) => mac_driver::<Wp, 11, 36>($($arg),*),
+            (Lane::Double, SimdEngine::WideAvx512) => unsafe { engine::mac_driver_512::<11, 52>($($arg),*) },
+            (Lane::Double, SimdEngine::WideAvx2) => unsafe { engine::mac_driver_tf::<11, 52>($($arg),*) },
+            (Lane::Double, _) => mac_driver::<Wp, 11, 52>($($arg),*),
             (Lane::Dyn, _) => unreachable!("wide dispatch requires a named lane"),
         }
     };
@@ -2077,6 +2212,30 @@ pub fn fma_bits_batch_with(
     );
 }
 
+/// [`fastpath::mac_column`] on an explicit engine (the scalar engine and
+/// dynamic formats run the scalar twin).
+///
+/// # Panics
+/// As [`fastpath::mac_column`].
+#[allow(clippy::too_many_arguments)] // the kernel's seven operands plus the engine
+pub fn mac_column_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a_t: &[u64],
+    stride: usize,
+    rows: usize,
+    b: &[u64],
+    c: &mut [u64],
+    mode: RoundMode,
+) -> Flags {
+    fastpath::check_mac_shape(a_t.len(), stride, rows, b.len(), c.len());
+    let lane = lane_of(fmt);
+    if eng == SimdEngine::Scalar || matches!(lane, Lane::Dyn) {
+        return fastpath::mac_column_scalar(fmt, a_t, stride, rows, b, c, mode);
+    }
+    wide_dispatch!(mac, eng, lane, a_t, stride, rows, b, c, mode)
+}
+
 // ---------------------------------------------------------------------------
 // Policy-resolved hooks for the fastpath batch entry points
 // ---------------------------------------------------------------------------
@@ -2296,6 +2455,27 @@ pub(crate) fn try_mul_bcast_batch(
         out,
     );
     true
+}
+
+/// Policy-resolved [`fastpath::mac_column`]: `None` when the scalar twin
+/// should run (shape already checked by the caller).
+pub(crate) fn try_mac_column(
+    fmt: FpFormat,
+    a_t: &[u64],
+    stride: usize,
+    rows: usize,
+    b: &[u64],
+    c: &mut [u64],
+    mode: RoundMode,
+) -> Option<Flags> {
+    let eng = wide_engine()?;
+    let lane = lane_of(fmt);
+    if matches!(lane, Lane::Dyn) {
+        return None;
+    }
+    Some(wide_dispatch!(
+        mac, eng, lane, a_t, stride, rows, b, c, mode
+    ))
 }
 
 // ---------------------------------------------------------------------------

@@ -6,9 +6,15 @@
 //! races between test threads) and checks partition-order stability:
 //! the classify-then-partition driver must scatter special-lane results
 //! back into their original batch positions.
+//!
+//! The fused MAC column pass (`fastpath::mac_column`) gets the same
+//! treatment against a reference loop of generic `mul_bits` then
+//! `add_bits`: every engine, three densities, ragged row tails, strided
+//! tiles, and the corner cases that leave the vector lane mid-column
+//! (overflowing and flushing products, exact cancellation to +0).
 
 use fpfpga_softfp::simd::{self, SimdEngine};
-use fpfpga_softfp::{add_bits, fma_bits, mul_bits, sub_bits, Flags, FpFormat, RoundMode};
+use fpfpga_softfp::{add_bits, fastpath, fma_bits, mul_bits, sub_bits, Flags, FpFormat, RoundMode};
 use proptest::prelude::*;
 
 /// Every engine this host can run. The scalar lane and the portable
@@ -152,6 +158,221 @@ proptest! {
         if let (Some(&x), Some(&y)) = (a.first(), b.first()) {
             prop_assert_eq!(simd::add_bits(fmt, x, y, mode), add_bits(fmt, x, y, mode));
             prop_assert_eq!(simd::mul_bits(fmt, x, y, mode), mul_bits(fmt, x, y, mode));
+        }
+    }
+}
+
+/// The paper's three precisions plus one dynamic custom format (which
+/// every engine routes to the scalar twin).
+const MAC_FORMATS: [FpFormat; 4] = [
+    FpFormat::SINGLE,
+    FpFormat::W48,
+    FpFormat::DOUBLE,
+    FpFormat::new(9, 30),
+];
+
+/// One MAC column problem: `a_t` is k-major with row stride `stride`.
+struct MacCase {
+    fmt: FpFormat,
+    mode: RoundMode,
+    rows: usize,
+    stride: usize,
+    a_t: Vec<u64>,
+    b: Vec<u64>,
+    c: Vec<u64>,
+}
+
+/// splitmix64 stream for the bulk operand draws.
+fn splitmix(seed: &mut u64) -> u64 {
+    *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *seed;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// An operand with `density_pct` specials. `wide` draws normals over the
+/// whole exponent range (so about half of all products overflow or
+/// flush); otherwise normals stay within a few binades of 1, keeping
+/// long accumulations on the vector lane.
+fn mac_operand(fmt: FpFormat, seed: &mut u64, density_pct: u16, wide: bool) -> u64 {
+    let raw = splitmix(seed);
+    let sel = splitmix(seed) as u16;
+    let x = encode(fmt, raw, sel, density_pct);
+    if wide || u64::from(sel % 100) < u64::from(density_pct) {
+        return x;
+    }
+    let (sign, _, frac) = fmt.unpack_fields(x);
+    fmt.pack(sign, fmt.bias() as u64 - 3 + raw % 7, frac)
+}
+
+impl MacCase {
+    #[allow(clippy::too_many_arguments)]
+    fn draw(
+        fmt: FpFormat,
+        mode: RoundMode,
+        rows: usize,
+        steps: usize,
+        extra_stride: usize,
+        density_pct: u16,
+        wide: bool,
+        mut seed: u64,
+    ) -> MacCase {
+        let stride = rows + extra_stride;
+        let mut op = || mac_operand(fmt, &mut seed, density_pct, wide);
+        let a_t = (0..(steps - 1) * stride + rows).map(|_| op()).collect();
+        let b = (0..steps).map(|_| op()).collect();
+        let c = (0..rows).map(|_| op()).collect();
+        MacCase {
+            fmt,
+            mode,
+            rows,
+            stride,
+            a_t,
+            b,
+            c,
+        }
+    }
+
+    /// The reference: generic `mul_bits` then `add_bits(product, acc)`
+    /// per MAC, `k` ascending.
+    fn reference(&self) -> (Vec<u64>, Flags) {
+        let mut c = self.c.clone();
+        let mut flags = Flags::NONE;
+        for (k, &bk) in self.b.iter().enumerate() {
+            for (i, ci) in c.iter_mut().enumerate() {
+                let (p, pf) = mul_bits(self.fmt, self.a_t[k * self.stride + i], bk, self.mode);
+                let (s, sf) = add_bits(self.fmt, p, *ci, self.mode);
+                *ci = s;
+                flags |= pf | sf;
+            }
+        }
+        (c, flags)
+    }
+
+    /// Every engine (scalar twin included) and the policy-resolved
+    /// entry point must reproduce the reference `c` and flags.
+    fn check(&self) -> Result<(), TestCaseError> {
+        let want = self.reference();
+        let run = |eng: Option<SimdEngine>| {
+            let mut c = self.c.clone();
+            let (fmt, rows, stride, mode) = (self.fmt, self.rows, self.stride, self.mode);
+            let flags = match eng {
+                Some(eng) => {
+                    simd::mac_column_with(eng, fmt, &self.a_t, stride, rows, &self.b, &mut c, mode)
+                }
+                None => fastpath::mac_column(fmt, &self.a_t, stride, rows, &self.b, &mut c, mode),
+            };
+            (c, flags)
+        };
+        for eng in engines() {
+            prop_assert_eq!(
+                run(Some(eng)),
+                want.clone(),
+                "{:?} mac {:?} rows={} steps={} stride={}",
+                eng,
+                self.fmt,
+                self.rows,
+                self.b.len(),
+                self.stride
+            );
+        }
+        prop_assert_eq!(run(None), want, "policy-resolved mac {:?}", self.fmt);
+        Ok(())
+    }
+}
+
+fn any_mac_fmt() -> impl Strategy<Value = FpFormat> {
+    prop_oneof![
+        Just(MAC_FORMATS[0]),
+        Just(MAC_FORMATS[1]),
+        Just(MAC_FORMATS[2]),
+        Just(MAC_FORMATS[3])
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// 0% specials: well-scaled columns stay on the vector lane for
+    /// every step; wide-exponent columns push products off it.
+    #[test]
+    fn mac_column_all_normal_matches_reference(
+        fmt in any_mac_fmt(), mode in any_mode(), rows in 1usize..41, steps in 1usize..41,
+        extra in 0usize..5, wide in any::<bool>(), seed in any::<u64>(),
+    ) {
+        MacCase::draw(fmt, mode, rows, steps, extra, 0, wide, seed).check()?;
+    }
+
+    /// ~5% specials: sparse lanes leave and re-enter the vector lane.
+    #[test]
+    fn mac_column_sparse_specials_match_reference(
+        fmt in any_mac_fmt(), mode in any_mode(), rows in 1usize..41, steps in 1usize..41,
+        extra in 0usize..5, wide in any::<bool>(), seed in any::<u64>(),
+    ) {
+        MacCase::draw(fmt, mode, rows, steps, extra, 5, wide, seed).check()?;
+    }
+
+    /// 100% specials: every lane of every step takes the scalar redo.
+    #[test]
+    fn mac_column_all_special_matches_reference(
+        fmt in any_mac_fmt(), mode in any_mode(), rows in 1usize..41, steps in 1usize..41,
+        extra in 0usize..5, seed in any::<u64>(),
+    ) {
+        MacCase::draw(fmt, mode, rows, steps, extra, 100, true, seed).check()?;
+    }
+}
+
+/// Deterministic corner cases inside full 8-lane chunks and the row
+/// tail: products that overflow and flush from normal×normal operands,
+/// and products that cancel their accumulator exactly to +0 (whose next
+/// step then runs from a zero accumulator).
+#[test]
+fn mac_column_overflow_flush_and_cancellation() {
+    for fmt in MAC_FORMATS {
+        for mode in [RoundMode::NearestEven, RoundMode::Truncate] {
+            let bias = fmt.bias() as u64;
+            let x = fmt.pack(false, bias + 2, 5);
+            let half_x = fmt.pack(false, bias + 1, 5);
+            let rows = 19; // two full chunks and a 3-row tail
+            let mut a_t = vec![x; 3 * rows];
+            let mut c = vec![fmt.pack(false, bias, 0); rows];
+            a_t[3] = fmt.max_finite(); // step 0: max·2 overflows
+            a_t[rows + 5] = fmt.min_positive(); // step 1: min·½ flushes
+            for i in [9, 17] {
+                // step 0: (x/2)·2 − x = +0 exactly, in a chunk and the tail
+                a_t[i] = half_x;
+                c[i] = x | (1 << fmt.sign_shift());
+            }
+            let b = vec![
+                fmt.pack(false, bias + 1, 0), // 2
+                fmt.pack(false, bias - 1, 0), // ½
+                fmt.pack(false, bias, 0),     // 1
+            ];
+            let first = MacCase {
+                fmt,
+                mode,
+                rows,
+                stride: rows,
+                a_t: a_t[..rows].to_vec(),
+                b: b[..1].to_vec(),
+                c: c.clone(),
+            };
+            let (after_first, _) = first.reference();
+            assert_eq!((after_first[9], after_first[17]), (0, 0), "{fmt:?} cancels");
+            first.check().expect("first step");
+            let case = MacCase {
+                fmt,
+                mode,
+                rows,
+                stride: rows,
+                a_t,
+                b,
+                c,
+            };
+            let (_, flags) = case.reference();
+            assert!(flags.overflow && flags.underflow, "{fmt:?} corner mix");
+            case.check().expect("mac corner cases");
         }
     }
 }
