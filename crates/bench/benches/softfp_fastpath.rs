@@ -7,9 +7,9 @@
 //! a hard assertion measured outside criterion's sampling.
 //!
 //! A second set of lanes pins each `softfp::simd` engine explicitly
-//! (`add_simd_avx512`, `mul_simd_portable`, …) through the
+//! (`add_simd_avx512`, `mul_simd_scalar`, …) through the
 //! `*_bits_batch_with` entry points, so per-engine regressions show up
-//! in criterion history; lanes for engines the host lacks are skipped.
+//! in criterion history; only `simd::available_engines()` get lanes.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fpfpga::softfp::fastpath;
@@ -188,18 +188,13 @@ fn bench_softfp_fastpath(c: &mut Criterion) {
             })
         });
 
-        // Engine-pinned SIMD lanes (skipping engines the host lacks).
-        let mut engines = vec![
-            ("scalar", SimdEngine::Scalar),
-            ("portable", SimdEngine::WidePortable),
-        ];
-        if simd::avx2_available() {
-            engines.push(("avx2", SimdEngine::WideAvx2));
-        }
-        if simd::avx512_available() {
-            engines.push(("avx512", SimdEngine::WideAvx512));
-        }
-        for &(eng_name, eng) in &engines {
+        // Engine-pinned SIMD lanes, one per engine this host can run.
+        for &eng in simd::available_engines() {
+            let eng_name = match eng {
+                SimdEngine::Scalar => "scalar",
+                SimdEngine::WideAvx2 => "avx2",
+                SimdEngine::WideAvx512 => "avx512",
+            };
             g.bench_function(format!("add_simd_{eng_name}"), |bch| {
                 bch.iter(|| {
                     out.clear();

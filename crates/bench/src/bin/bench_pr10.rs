@@ -1,6 +1,6 @@
 //! `bench_pr10` — performance snapshot of the SIMD batch lanes: per-engine
-//! softfp batch throughput (scalar fast lane vs the AVX2 wide kernels vs
-//! the portable twin), a special-value density sweep for the
+//! softfp batch throughput (scalar fast lane vs every wide engine in
+//! `simd::available_engines()`), a special-value density sweep for the
 //! classify-then-partition pass, and the ≥4× add/mul speedup gate. Writes
 //! `BENCH_PR10.json` at the repository root (and echoes to stdout) so
 //! EXPERIMENTS.md has a machine-readable source.
@@ -14,7 +14,7 @@
 //! ```
 
 use fpfpga::prelude::*;
-use fpfpga::softfp::simd::{self, SimdEngine};
+use fpfpga::softfp::simd::{self, SimdEngine, SimdPolicy};
 use fpfpga::softfp::Flags;
 use serde_json::{json, Value};
 use std::hint::black_box;
@@ -89,27 +89,21 @@ where
     (ta, tb)
 }
 
-fn engines() -> Vec<(SimdEngine, &'static str)> {
-    let mut v = vec![(SimdEngine::Scalar, "scalar")];
-    if simd::avx2_available() {
-        v.push((SimdEngine::WideAvx2, "wide_avx2"));
+/// An engine's JSON name.
+fn engine_name(eng: SimdEngine) -> &'static str {
+    match eng {
+        SimdEngine::Scalar => "scalar",
+        SimdEngine::WideAvx2 => "wide_avx2",
+        SimdEngine::WideAvx512 => "wide_avx512",
     }
-    if simd::avx512_available() {
-        v.push((SimdEngine::WideAvx512, "wide_avx512"));
-    }
-    v.push((SimdEngine::WidePortable, "wide_portable"));
-    v
 }
 
-/// The best wide engine the host supports (what `Auto` dispatches to),
-/// with its JSON name.
-fn best_wide() -> Option<(SimdEngine, &'static str)> {
-    if simd::avx512_available() {
-        Some((SimdEngine::WideAvx512, "wide_avx512"))
-    } else if simd::avx2_available() {
-        Some((SimdEngine::WideAvx2, "wide_avx2"))
-    } else {
-        None
+/// The wide engine `Auto` dispatches to, or `None` on a scalar-only host.
+fn best_wide() -> Option<SimdEngine> {
+    simd::set_simd_policy(SimdPolicy::Auto);
+    match simd::active_engine() {
+        SimdEngine::Scalar => None,
+        eng => Some(eng),
     }
 }
 
@@ -170,27 +164,23 @@ fn run_op(
             out.len() as u64
         }
     };
-    let mut mops = Vec::new();
-    for (eng, name) in engines() {
-        if eng == SimdEngine::Scalar {
-            continue;
-        }
+    // Scalar first; each wide engine is timed interleaved with it, and the
+    // scalar entry keeps its best window across pairings.
+    let mut mops = vec![("scalar", 0.0)];
+    let wide = &simd::available_engines()[1..];
+    if wide.is_empty() {
+        let (ts, _) = paired_best_of(ROUNDS, || run(SimdEngine::Scalar, out), || 0);
+        mops[0].1 = N as f64 / ts / 1e6;
+    }
+    for &eng in wide {
         let mut o2 = Vec::with_capacity(N);
         let (ts, te) = paired_best_of(
             ROUNDS,
             || run(SimdEngine::Scalar, out),
             || run(eng, &mut o2),
         );
-        if mops.is_empty() {
-            mops.push(("scalar", N as f64 / ts / 1e6));
-        } else {
-            // Keep the best scalar window across pairings.
-            let best = N as f64 / ts / 1e6;
-            if best > mops[0].1 {
-                mops[0].1 = best;
-            }
-        }
-        mops.push((name, N as f64 / te / 1e6));
+        mops[0].1 = f64::max(mops[0].1, N as f64 / ts / 1e6);
+        mops.push((engine_name(eng), N as f64 / te / 1e6));
     }
     OpRun { op, mops }
 }
@@ -218,7 +208,9 @@ fn density_section(fmt: FpFormat, name: &str) -> Value {
     let mut rows = Vec::new();
     let mut out: Vec<(u64, Flags)> = Vec::with_capacity(N);
     let mut o2: Vec<(u64, Flags)> = Vec::with_capacity(N);
-    let wide = best_wide().map_or(SimdEngine::WidePortable, |(eng, _)| eng);
+    let Some(wide) = best_wide() else {
+        return json!({ "format": name, "op": "add", "notice": "no wide engine; density sweep skipped" });
+    };
     for density in [0u32, 5, 50, 100] {
         let a = operands_with_specials(fmt, N, 0xd00d + density as u64, density);
         let b = operands_with_specials(fmt, N, 0xbeef + density as u64, density);
@@ -288,7 +280,8 @@ fn main() {
     // one re-measure before the gate trips (shared-box noise insurance).
     const GATE: f64 = 4.0;
     let mut gate: Value = json!({ "armed": false, "notice": "no avx2/avx512; gate skipped" });
-    if let Some((wide_eng, wide_name)) = best_wide() {
+    if let Some(wide_eng) = best_wide() {
+        let wide_name = engine_name(wide_eng);
         let mut checks = Vec::new();
         let mut failed = Vec::new();
         for (label, r) in &runs {
@@ -302,7 +295,6 @@ fn main() {
                 failed.push(label.clone());
             }
         }
-        let _ = wide_eng;
         if !failed.is_empty() {
             // Re-measure the failures once on a quieter window.
             println!("gate re-measure: {failed:?}");

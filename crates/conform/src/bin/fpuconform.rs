@@ -6,7 +6,7 @@
 //!            [--samples N] [--seed S] [--sweeps ieee,ftz,fpu,limb]
 //!            [--limb-formats f128,f256,e19f236]
 //!            [--max-divergences K] [--threads N] [--fastpath]
-//!            [--simd scalar|wide|auto] [--json]
+//!            [--simd scalar|auto] [--json]
 //! ```
 //!
 //! The `limb` sweep checks the wide-format (multi-limb) kernels against
@@ -18,10 +18,12 @@
 //! `--fastpath` (or the `FPUCONFORM_FASTPATH` environment variable)
 //! forces the softfp reference evaluation through the monomorphized
 //! `fastpath` kernels for add/sub/mul/fma, so the sweeps conformance-
-//! check the fast lane itself. `--simd scalar|wide|auto` (or
+//! check the fast lane itself. `--simd scalar|auto` (or
 //! `FPUCONFORM_SIMD` plus `FPFPGA_SIMD`) goes one layer further and
 //! routes those ops through the `softfp::simd` dispatchers under the
-//! chosen policy — `wide` sweeps the vector engines case by case.
+//! chosen policy — `auto` sweeps the host's best vector engine case by
+//! case. The report names the engine the policy resolved to (`simd_engine`
+//! in `--json`, the `simd engine:` header line otherwise).
 //!
 //! Exit status is 0 when every sweep agrees and 1 when any divergence
 //! was found (which is what the CI step keys off). Each stored
@@ -38,7 +40,7 @@ use fpfpga_conform::limb::{
 };
 use fpfpga_conform::shrink::{minimize, minimize_with, render_case};
 use fpfpga_softfp::limb::LimbFormat;
-use fpfpga_softfp::simd::SimdPolicy;
+use fpfpga_softfp::simd::{self, SimdPolicy};
 use serde_json::{json, Value};
 use std::process::ExitCode;
 
@@ -56,7 +58,7 @@ fn usage(err: &str) -> ! {
          \x20                 [--formats f32,f64,f48,e<E>f<F>] [--samples N] [--seed S]\n\
          \x20                 [--sweeps ieee,ftz,fpu,limb] [--max-divergences K]\n\
          \x20                 [--limb-formats f128,f256,e<E>f<F>]\n\
-         \x20                 [--threads N] [--fastpath] [--simd scalar|wide|auto] [--json]"
+         \x20                 [--threads N] [--fastpath] [--simd scalar|auto] [--json]"
     );
     std::process::exit(2);
 }
@@ -128,11 +130,10 @@ fn parse_args() -> Args {
             "--simd" => {
                 let policy = match value(&mut it).as_str() {
                     "scalar" => SimdPolicy::ForceScalar,
-                    "wide" => SimdPolicy::ForceWide,
                     "auto" => SimdPolicy::Auto,
-                    other => usage(&format!("unknown simd mode `{other}` (scalar, wide, auto)")),
+                    other => usage(&format!("unknown simd mode `{other}` (scalar, auto)")),
                 };
-                fpfpga_softfp::simd::set_simd_policy(policy);
+                simd::set_simd_policy(policy);
                 diff::set_force_simd(true);
             }
             "--json" => json = true,
@@ -308,6 +309,11 @@ fn main() -> ExitCode {
         );
     }
 
+    let engine = format!("{:?}", simd::active_engine());
+    if !args.json {
+        println!("simd engine: {engine}");
+    }
+
     let mut sections: Vec<(String, SweepReport)> = Vec::new();
     let mut limb_section: Option<LimbSweepReport> = None;
     for sweep in &args.sweeps {
@@ -353,6 +359,7 @@ fn main() -> ExitCode {
             "limb_formats": Value::Array(
                 args.limb_formats.iter().map(|f| json!(f.canonical_name())).collect()
             ),
+            "simd_engine": engine,
             "total_divergences": total,
             "sweeps": Value::Array(out),
         });

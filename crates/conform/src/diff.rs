@@ -47,7 +47,7 @@ pub fn fastpath_forced() -> bool {
 /// Process-wide switch routing [`eval_ftz`] add/sub/mul/fma through the
 /// `softfp::simd` one-shot dispatchers, which honor the active
 /// [`SimdPolicy`](fpfpga_softfp::simd::SimdPolicy) — so a sweep under
-/// `--simd wide` exercises the real vector datapath (broadcast batch,
+/// `--simd auto` on an AVX2/AVX-512 host exercises the real vector datapath (broadcast batch,
 /// classify-then-partition fixup) case by case. Settable
 /// programmatically ([`set_force_simd`]) or via the `FPUCONFORM_SIMD`
 /// environment variable (any value but `0`). Takes precedence over the
@@ -879,11 +879,7 @@ mod tests {
         };
         let plain = format!("{:?}", run_ftz_sweep(&cfg));
         set_force_simd(true);
-        for policy in [
-            SimdPolicy::ForceScalar,
-            SimdPolicy::ForceWide,
-            SimdPolicy::Auto,
-        ] {
+        for policy in [SimdPolicy::ForceScalar, SimdPolicy::Auto] {
             set_simd_policy(policy);
             let forced = format!("{:?}", run_ftz_sweep(&cfg));
             assert_eq!(plain, forced, "policy {policy:?}");

@@ -56,9 +56,6 @@ pub struct CoreSweep {
 
 /// Staged configuration for a [`CoreSweep`]: pick the core and format,
 /// optionally attach a [`SweepCache`], then [`run`](CoreSweepBuilder::run).
-///
-/// This is the single entry point that replaced the
-/// `CoreSweep::new` / `CoreSweep::new_cached` pair.
 #[derive(Clone, Copy)]
 pub struct CoreSweepBuilder<'a> {
     kind: CoreKind,
@@ -119,32 +116,6 @@ impl CoreSweep {
             format,
             cache: None,
         }
-    }
-
-    /// Sweep any core kind without a cache.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `CoreSweep::builder(kind, format).run(tech, opts)`"
-    )]
-    pub fn new(kind: CoreKind, format: FpFormat, tech: &Tech, opts: SynthesisOptions) -> CoreSweep {
-        CoreSweep::builder(kind, format).run(tech, opts)
-    }
-
-    /// Sweep through a [`SweepCache`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `CoreSweep::builder(kind, format).cached(cache).run(tech, opts)`"
-    )]
-    pub fn new_cached(
-        kind: CoreKind,
-        format: FpFormat,
-        tech: &Tech,
-        opts: SynthesisOptions,
-        cache: &SweepCache,
-    ) -> CoreSweep {
-        CoreSweep::builder(kind, format)
-            .cached(cache)
-            .run(tech, opts)
     }
 
     /// Sweep an adder (shorthand for [`CoreSweep::builder`]).
@@ -451,21 +422,6 @@ mod tests {
             assert!(!sweep.reports.is_empty());
             assert!(sweep.opt().clock_mhz > 0.0);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_builder() {
-        let tech = Tech::virtex2pro();
-        let opts = SynthesisOptions::SPEED;
-        let cache = crate::cache::SweepCache::new();
-        let built = CoreSweep::builder(CoreKind::Adder, FpFormat::SINGLE).run(&tech, opts);
-        let legacy = CoreSweep::new(CoreKind::Adder, FpFormat::SINGLE, &tech, opts);
-        assert_eq!(built.reports, legacy.reports);
-        let legacy_cached =
-            CoreSweep::new_cached(CoreKind::Adder, FpFormat::SINGLE, &tech, opts, &cache);
-        assert_eq!(built.reports, legacy_cached.reports);
-        assert_eq!(cache.misses(), 1);
     }
 
     #[test]

@@ -148,9 +148,6 @@ pub fn sweep_for_cached(
 /// [`SweepCache`](crate::cache::SweepCache), then
 /// [`run`](Generation::run).
 ///
-/// This is the single entry point that replaced the
-/// `generate` / `generate_cached` pair.
-///
 /// ```
 /// use fpfpga_fpu::generator::{Generation, Metric, Request, UnitOp};
 /// use fpfpga_fabric::{synthesis::SynthesisOptions, tech::Tech};
@@ -204,28 +201,6 @@ impl<'a> Generation<'a> {
             ),
         }
     }
-}
-
-/// Generate the unit for a request.
-#[deprecated(since = "0.6.0", note = "use `Generation::of(*req).run(tech, opts)`")]
-pub fn generate(req: &Request, tech: &Tech, opts: SynthesisOptions) -> Result<Generated, GenError> {
-    Generation::of(*req).run(tech, opts)
-}
-
-/// [`generate`] through a [`SweepCache`].
-///
-/// [`SweepCache`]: crate::cache::SweepCache
-#[deprecated(
-    since = "0.6.0",
-    note = "use `Generation::of(*req).cached(cache).run(tech, opts)`"
-)]
-pub fn generate_cached(
-    req: &Request,
-    tech: &Tech,
-    opts: SynthesisOptions,
-    cache: &crate::cache::SweepCache,
-) -> Result<Generated, GenError> {
-    Generation::of(*req).cached(cache).run(tech, opts)
 }
 
 /// Pick an implementation point from an already-computed sweep.
@@ -405,25 +380,6 @@ mod tests {
         assert_eq!(plain.report, cold.report);
         assert_eq!(plain.report, warm.report);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_builder() {
-        let (tech, opts) = flow();
-        let cache = crate::cache::SweepCache::new();
-        let req = Request {
-            format: FpFormat::SINGLE,
-            op: UnitOp::Add,
-            target_mhz: None,
-            max_slices: None,
-            metric: Metric::FreqPerArea,
-        };
-        let built = Generation::of(req).run(&tech, opts).unwrap();
-        let legacy = generate(&req, &tech, opts).unwrap();
-        let legacy_cached = generate_cached(&req, &tech, opts, &cache).unwrap();
-        assert_eq!(built.report, legacy.report);
-        assert_eq!(built.report, legacy_cached.report);
     }
 
     #[test]

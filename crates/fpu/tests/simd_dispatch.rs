@@ -28,13 +28,7 @@ fn mask(fmt: FpFormat, raw: &[(u64, u64)]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-const POLICIES: [SimdPolicy; 5] = [
-    SimdPolicy::ForceScalar,
-    SimdPolicy::ForceWidePortable,
-    SimdPolicy::ForceWideAvx2,
-    SimdPolicy::ForceWide,
-    SimdPolicy::Auto,
-];
+const POLICIES: [SimdPolicy; 2] = [SimdPolicy::ForceScalar, SimdPolicy::Auto];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]

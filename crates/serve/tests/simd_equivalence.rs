@@ -2,8 +2,8 @@
 //! a multi-worker [`ServePool`] must be bit-identical to the serial
 //! oracle under every [`SimdPolicy`] — the worker threads reach the
 //! `softfp::simd` engines through the coalesced eltwise batch path, and
-//! no policy (scalar, forced-wide, auto) may change a result bit. One
-//! test function owns the process-global policy.
+//! no policy (scalar, auto) may change a result bit. One test function
+//! owns the process-global policy.
 
 use fpfpga_fabric::tech::Tech;
 use fpfpga_serve::{
@@ -55,11 +55,7 @@ proptest! {
         set_simd_policy(SimdPolicy::ForceScalar);
         let want = run_serial(&specs, &tech);
 
-        for policy in [
-            SimdPolicy::ForceWidePortable,
-            SimdPolicy::ForceWide,
-            SimdPolicy::Auto,
-        ] {
+        for policy in [SimdPolicy::ForceScalar, SimdPolicy::Auto] {
             set_simd_policy(policy);
             let config = ServeConfig {
                 workers,

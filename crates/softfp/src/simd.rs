@@ -30,31 +30,34 @@
 //!   accumulator column held in one register across every `k` step, no
 //!   per-element result records, and non-normal lanes (inputs, product or
 //!   accumulator) redone for just that step through the scalar kernels.
-//! * **Explicit intrinsics engines** behind the `Words` trait: the
+//! * **Two explicit intrinsics engines** behind the `Words` trait: the
 //!   block kernels are generic over a lane-word vocabulary (shifts,
 //!   compares-to-mask, select, msb scan, 32×32 multiply), and each
 //!   engine implements it with `#[target_feature]`-annotated methods —
-//!   AVX-512 (`__m512i`, native `vplzcntq` and `__mmask8` compares),
+//!   AVX-512 (`__m512i`, native `vplzcntq` and `__mmask8` compares) and
 //!   AVX2 (`__m256i` pairs, `vpsllvq`/`vpsrlvq` and a vpshufb-popcount
-//!   msb emulation), and a portable `[u64; LANES]` twin for every other
-//!   target. Explicit intrinsics, not autovectorization: LLVM refuses
+//!   msb emulation), both x86-64 only; every other host runs the scalar
+//!   fast lane. Explicit intrinsics, not autovectorization: LLVM refuses
 //!   to vectorize the long select-chain bodies on its own (measured
 //!   ~2.2× as scalarized code vs ≥5× with the intrinsics engines). The
 //!   epilogue is vectorized too — packed flag words become [`Flags`]
 //!   byte patterns via an in-register 8-entry LUT and are stored
 //!   interleaved with the results, under compile-time layout checks.
 //! * **Runtime dispatch**: a process-wide [`SimdPolicy`]
-//!   (auto / force-scalar / force-wide, `FPFPGA_SIMD` environment
-//!   override) resolves to an engine once per batch, by positive
-//!   feature detection. Engines are bit-exact on every lane the
-//!   partition pass keeps; garbage on discarded special lanes may
-//!   differ (shifts ≥ 64 zero on AVX but wrap on the portable twin),
-//!   which the drivers never observe.
+//!   (auto / force-scalar, `FPFPGA_SIMD` environment override) resolves
+//!   to an engine once per batch, by positive feature detection; the
+//!   `*_with` entry points pin any engine in [`available_engines`].
+//!   Both engines are bit-exact on every lane the partition pass keeps.
 //!
 //! The batch entry points in [`crate::fastpath`] consult this module
 //! first, so every existing consumer (the FPU pipeline's `run_batch`, the
 //! batched matmul kernels, the serving eltwise path, the network
 //! front-end) picks up the wide engine with zero call-site changes.
+
+// Off x86-64 no intrinsics engine exists, `available_engines()` is just
+// the scalar lane, and the generic vector kernels below are never
+// instantiated.
+#![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 
 use crate::exceptions::Flags;
 use crate::fastpath::{self, lane_of, Lane};
@@ -79,11 +82,10 @@ pub const LANES: usize = 8;
 /// Process-wide SIMD dispatch policy.
 ///
 /// The default (`Auto`) uses the best wide engine the host supports
-/// (AVX-512, then AVX2) and the scalar fast lane otherwise — the
-/// portable twin of the wide kernel exists for conformance work, not
-/// speed, so `Auto` never picks it.
-/// `FPFPGA_SIMD=auto|scalar|wide|avx2|portable` overrides the default at
-/// startup; [`set_simd_policy`] overrides both.
+/// (AVX-512, then AVX2) and the scalar fast lane otherwise.
+/// `FPFPGA_SIMD=auto|scalar` overrides the default at startup;
+/// [`set_simd_policy`] overrides both. Tests and benches that need one
+/// particular engine pin it through the `*_with` entry points instead.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum SimdPolicy {
@@ -91,13 +93,6 @@ pub enum SimdPolicy {
     Auto = 0,
     /// Always the scalar fast lane (the PR 5 behaviour).
     ForceScalar = 1,
-    /// The wide kernels: best detected engine, portable twin otherwise.
-    ForceWide = 2,
-    /// The portable twin of the wide kernels, even on AVX2 hosts.
-    ForceWidePortable = 3,
-    /// The AVX2 engine even when AVX-512 is available (portable twin
-    /// when AVX2 is missing too).
-    ForceWideAvx2 = 4,
 }
 
 /// The engine a batch actually runs on after policy resolution.
@@ -111,8 +106,6 @@ pub enum SimdEngine {
     /// (`avx512f/cd/vl/dq/bw`): one 512-bit register per chunk stream and
     /// native `vplzcntq` for the normalization scans.
     WideAvx512,
-    /// The same wide kernels compiled for the baseline target.
-    WidePortable,
 }
 
 const POLICY_UNSET: u8 = 0xff;
@@ -132,36 +125,31 @@ pub fn simd_policy() -> SimdPolicy {
     match POLICY.load(Ordering::Relaxed) {
         0 => SimdPolicy::Auto,
         1 => SimdPolicy::ForceScalar,
-        2 => SimdPolicy::ForceWide,
-        3 => SimdPolicy::ForceWidePortable,
-        4 => SimdPolicy::ForceWideAvx2,
         _ => *ENV_POLICY.get_or_init(|| match std::env::var("FPFPGA_SIMD").as_deref() {
             Ok("scalar") => SimdPolicy::ForceScalar,
-            Ok("wide") => SimdPolicy::ForceWide,
-            Ok("avx2") => SimdPolicy::ForceWideAvx2,
-            Ok("portable") => SimdPolicy::ForceWidePortable,
             _ => SimdPolicy::Auto,
         }),
     }
 }
 
-/// Cached `is_x86_feature_detected!("avx2")`; always `false` off x86.
+/// Cached `is_x86_feature_detected!("avx2")`; always `false` off x86-64,
+/// where no intrinsics engine is compiled.
 pub fn avx2_available() -> bool {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         static AVX2: OnceLock<bool> = OnceLock::new();
         *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
     }
-    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
 }
 
 /// Cached detection of the AVX-512 feature set the wide kernels compile
-/// against (`avx512f/cd/vl/dq/bw`); always `false` off x86.
+/// against (`avx512f/cd/vl/dq/bw`); always `false` off x86-64.
 pub fn avx512_available() -> bool {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         static AVX512: OnceLock<bool> = OnceLock::new();
         *AVX512.get_or_init(|| {
@@ -172,41 +160,50 @@ pub fn avx512_available() -> bool {
                 && std::arch::is_x86_feature_detected!("avx512bw")
         })
     }
-    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
 }
 
-/// The best wide engine the host supports, or the portable twin.
-fn best_wide_engine() -> SimdEngine {
-    if avx512_available() {
-        SimdEngine::WideAvx512
-    } else if avx2_available() {
-        SimdEngine::WideAvx2
-    } else {
-        SimdEngine::WidePortable
-    }
+/// The engines this host can run: [`SimdEngine::Scalar`] first, then
+/// each detected intrinsics engine (AVX2, then AVX-512). `Auto` runs the
+/// last entry; the `*_with` entry points accept exactly these engines.
+pub fn available_engines() -> &'static [SimdEngine] {
+    static ENGINES: OnceLock<Vec<SimdEngine>> = OnceLock::new();
+    ENGINES.get_or_init(|| {
+        let mut engines = vec![SimdEngine::Scalar];
+        if avx2_available() {
+            engines.push(SimdEngine::WideAvx2);
+        }
+        if avx512_available() {
+            engines.push(SimdEngine::WideAvx512);
+        }
+        engines
+    })
 }
 
 /// Resolve the policy to the engine batches will run on.
 pub fn active_engine() -> SimdEngine {
     match simd_policy() {
         SimdPolicy::ForceScalar => SimdEngine::Scalar,
-        SimdPolicy::ForceWidePortable => SimdEngine::WidePortable,
-        SimdPolicy::ForceWideAvx2 => {
-            if avx2_available() {
-                SimdEngine::WideAvx2
-            } else {
-                SimdEngine::WidePortable
-            }
-        }
-        SimdPolicy::ForceWide => best_wide_engine(),
-        SimdPolicy::Auto => match best_wide_engine() {
-            SimdEngine::WidePortable => SimdEngine::Scalar,
-            eng => eng,
-        },
+        SimdPolicy::Auto => available_engines()
+            .last()
+            .copied()
+            .unwrap_or(SimdEngine::Scalar),
     }
+}
+
+/// Panic unless `eng` is in [`available_engines`]: the intrinsics
+/// drivers behind the `*_with` entry points are only sound on a host
+/// whose CPU has the engine's instructions.
+#[track_caller]
+fn assert_available(eng: SimdEngine) {
+    assert!(
+        available_engines().contains(&eng),
+        "simd engine {eng:?} is not available on this host (available: {:?})",
+        available_engines()
+    );
 }
 
 /// The wide engine to use, or `None` when the scalar lane should run.
@@ -480,37 +477,32 @@ pub(crate) fn fma_wide_scalar(
 }
 
 // ---------------------------------------------------------------------------
-// The SIMD word: one trait, three engines
+// The SIMD word: one trait, two engines
 // ---------------------------------------------------------------------------
 //
 // `Words` is a [`LANES`]-wide vector of u64 plus an engine-specific
 // lane-mask type. The block kernels below are written once, generically,
-// against this trait; the three impls pin the instruction selection:
+// against this trait; the two impls pin the instruction selection:
 //
-// * `Wp` — the portable twin: plain u64 arrays and scalar loops, no
-//   feature requirement. This is what conformance sweeps force to keep
-//   the wide kernels honest on any host.
 // * `W2` — two `__m256i` halves under `#[target_feature(enable =
 //   "avx2")]`: native `vpsllvq`/`vpsrlvq` variable shifts, `vpmuludq`
 //   32×32→64 products, byte-LUT popcount for the msb scan.
 // * `W5` — one `__m512i` under the AVX-512 feature set, with `__mmask8`
 //   lane masks, native unsigned compares and `vplzcntq`.
 //
-// Every method is an `unsafe fn`: the intrinsic impls must only be
-// reached after positive runtime feature detection, which the dispatch
-// layer guarantees (the portable impl has no requirement). Explicit
-// intrinsics — rather than autovectorized lane loops — are the point:
-// LLVM scalarizes the long select chains of the fast-path datapath when
-// left to vectorize them itself.
+// Every method is an `unsafe fn`: the impls must only be reached after
+// positive runtime feature detection, which the dispatch layer
+// guarantees. Explicit intrinsics — rather than autovectorized lane
+// loops — are the point: LLVM scalarizes the long select chains of the
+// fast-path datapath when left to vectorize them itself.
 //
 // Semantics contract (what the equivalence tests pin down): on lanes
 // whose shift amounts stay below 64 and whose `vmul32` operands have
 // clear high halves — true for every value the kernels build from
-// normal operands — all three engines are bit-identical. Garbage lanes
-// (special operands) may diverge between engines in the out-of-range
-// shift frames (`&63` masking vs `vpsllvq` zeroing); the partition pass
-// overwrites every such lane from the generic path, so the divergence
-// is never observable.
+// normal operands — both engines are bit-identical to the scalar fast
+// lane. Garbage lanes (special operands) carry whatever the vector
+// arithmetic produced; the partition pass overwrites every such lane
+// from the generic path, so it is never observable.
 
 /// The engine-generic SIMD word: [`LANES`] u64 lanes.
 trait Words: Copy {
@@ -564,159 +556,6 @@ trait Words: Copy {
     /// Store `(self, o)` as interleaved pairs: `dst[2l] = self[l]`,
     /// `dst[2l+1] = o[l]`. `dst` must be valid for `2 * LANES` words.
     unsafe fn store_interleaved(self, o: Self, dst: *mut u64);
-}
-
-/// All-ones/all-zeros lane mask from a bool.
-#[inline(always)]
-fn lmask(b: bool) -> u64 {
-    (b as u64).wrapping_neg()
-}
-
-/// The portable twin: u64 arrays, masks as all-ones/all-zeros words.
-#[derive(Clone, Copy)]
-struct Wp([u64; LANES]);
-
-impl Words for Wp {
-    type M = Wp;
-    #[inline(always)]
-    unsafe fn splat(x: u64) -> Wp {
-        Wp([x; LANES])
-    }
-    #[inline(always)]
-    unsafe fn load(src: &[u64; LANES]) -> Wp {
-        Wp(*src)
-    }
-    #[inline(always)]
-    unsafe fn store(self, dst: &mut [u64; LANES]) {
-        *dst = self.0;
-    }
-    #[inline(always)]
-    unsafe fn vadd(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| self.0[l].wrapping_add(o.0[l])))
-    }
-    #[inline(always)]
-    unsafe fn vsub(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| self.0[l].wrapping_sub(o.0[l])))
-    }
-    #[inline(always)]
-    unsafe fn vmul32(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| self.0[l].wrapping_mul(o.0[l])))
-    }
-    #[inline(always)]
-    unsafe fn vand(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| self.0[l] & o.0[l]))
-    }
-    #[inline(always)]
-    unsafe fn vor(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| self.0[l] | o.0[l]))
-    }
-    #[inline(always)]
-    unsafe fn vxor(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| self.0[l] ^ o.0[l]))
-    }
-    #[inline(always)]
-    unsafe fn shl(self, n: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| self.0[l] << (n.0[l] & 63)))
-    }
-    #[inline(always)]
-    unsafe fn shr(self, n: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| self.0[l] >> (n.0[l] & 63)))
-    }
-    #[inline(always)]
-    unsafe fn shlc(self, n: u32) -> Wp {
-        Wp(std::array::from_fn(|l| self.0[l] << n))
-    }
-    #[inline(always)]
-    unsafe fn shrc(self, n: u32) -> Wp {
-        Wp(std::array::from_fn(|l| self.0[l] >> n))
-    }
-    #[inline(always)]
-    unsafe fn vmsb(self) -> Wp {
-        Wp(std::array::from_fn(|l| {
-            63 ^ self.0[l].leading_zeros() as u64
-        }))
-    }
-    #[inline(always)]
-    unsafe fn veq(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| lmask(self.0[l] == o.0[l])))
-    }
-    #[inline(always)]
-    unsafe fn vne(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| lmask(self.0[l] != o.0[l])))
-    }
-    #[inline(always)]
-    unsafe fn vgt_u(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| lmask(self.0[l] > o.0[l])))
-    }
-    #[inline(always)]
-    unsafe fn vge_u(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| lmask(self.0[l] >= o.0[l])))
-    }
-    #[inline(always)]
-    unsafe fn vlt_u(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| lmask(self.0[l] < o.0[l])))
-    }
-    #[inline(always)]
-    unsafe fn vgt_s(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| {
-            lmask((self.0[l] as i64) > (o.0[l] as i64))
-        }))
-    }
-    #[inline(always)]
-    unsafe fn vlt_s(self, o: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| {
-            lmask((self.0[l] as i64) < (o.0[l] as i64))
-        }))
-    }
-    #[inline(always)]
-    unsafe fn mand(a: Wp, b: Wp) -> Wp {
-        a.vand(b)
-    }
-    #[inline(always)]
-    unsafe fn mor(a: Wp, b: Wp) -> Wp {
-        a.vor(b)
-    }
-    #[inline(always)]
-    unsafe fn mnot(a: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| !a.0[l]))
-    }
-    #[inline(always)]
-    unsafe fn mbool(b: bool) -> Wp {
-        Wp([lmask(b); LANES])
-    }
-    #[inline(always)]
-    unsafe fn sel(m: Wp, t: Wp, f: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| {
-            (t.0[l] & m.0[l]) | (f.0[l] & !m.0[l])
-        }))
-    }
-    #[inline(always)]
-    unsafe fn m01(m: Wp) -> Wp {
-        Wp(std::array::from_fn(|l| m.0[l] & 1))
-    }
-    #[inline(always)]
-    unsafe fn mall(m: Wp) -> bool {
-        m.0.iter().all(|&x| x == u64::MAX)
-    }
-    #[inline(always)]
-    unsafe fn mbits(m: Wp) -> u32 {
-        let mut bits = 0u32;
-        for l in 0..LANES {
-            bits |= ((m.0[l] & 1) as u32) << l;
-        }
-        bits
-    }
-    #[inline(always)]
-    unsafe fn lut8(self, lut: &[u64; 8]) -> Wp {
-        Wp(std::array::from_fn(|l| lut[(self.0[l] & 7) as usize]))
-    }
-    #[inline(always)]
-    unsafe fn store_interleaved(self, o: Wp, dst: *mut u64) {
-        for l in 0..LANES {
-            dst.add(2 * l).write(self.0[l]);
-            dst.add(2 * l + 1).write(o.0[l]);
-        }
-    }
 }
 
 /// The AVX2 and AVX-512 engines: explicit intrinsics, x86-64 only. The
@@ -1583,9 +1422,9 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8>(
         let mut ys = [0u64; LANES];
         load_chunk(i, &mut xs, &mut ys);
         // SAFETY: `W`'s engine was selected by positive runtime feature
-        // detection (the dispatch layer's invariant); the portable
-        // engine has no requirement. The interleaved store targets
-        // capacity reserved above, under the compile-time layout check.
+        // detection (the dispatch layer's invariant). The interleaved
+        // store targets capacity reserved above, under the compile-time
+        // layout check.
         let (all, nbits) = unsafe {
             let va = W::load(&xs);
             let vb = W::load(&ys);
@@ -1720,8 +1559,8 @@ fn mac_driver<W: Words, const E: u32, const F: u32>(
     let add = |x, y| fastpath::add::<E, F>(x, y, mode);
     let mut flags = Flags::NONE;
     // SAFETY: `W`'s engine was selected by positive runtime feature
-    // detection (the dispatch layer's invariant); the portable engine
-    // has no requirement. Every access is a bounds-checked slice.
+    // detection (the dispatch layer's invariant). Every access is a
+    // bounds-checked slice.
     let packed = unsafe {
         let zero = W::splat(0);
         let mut fl = zero;
@@ -1771,13 +1610,13 @@ fn mac_driver<W: Words, const E: u32, const F: u32>(
 // The intrinsics engines need monomorphizations of the generic drivers
 // whose call contexts carry the matching `#[target_feature]` set, so the
 // engine methods (and through them the intrinsics) inline into the chunk
-// loop. On non-x86-64 targets the wrappers forward to the portable
-// engine (the intrinsics engines are never selected there — feature
-// detection reports false — but the symbols must exist).
+// loop. Each wrapper's only caller is `wide_dispatch!`.
 #[cfg(target_arch = "x86_64")]
 mod engine {
     use super::*;
 
+    // SAFETY: callers pass `WideAvx2`, which is only in
+    // `available_engines()` after `avx2_available()` detected AVX2.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn bin_driver_tf<const E: u32, const F: u32, const OP: u8>(
@@ -1791,6 +1630,8 @@ mod engine {
         super::bin_driver::<W2, E, F, OP>(n, load_chunk, load_one, mode, out, specials)
     }
 
+    // SAFETY: callers pass `WideAvx2`, which is only in
+    // `available_engines()` after `avx2_available()` detected AVX2.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn fma_driver_tf<const E: u32, const F: u32>(
@@ -1804,6 +1645,9 @@ mod engine {
         super::fma_driver::<W2, E, F>(n, load_chunk, load_one, mode, out, specials)
     }
 
+    // SAFETY: callers pass `WideAvx512`, which is only in
+    // `available_engines()` after `avx512_available()` detected the
+    // whole AVX-512 feature set enabled here.
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn bin_driver_512<const E: u32, const F: u32, const OP: u8>(
@@ -1817,6 +1661,9 @@ mod engine {
         super::bin_driver::<W5, E, F, OP>(n, load_chunk, load_one, mode, out, specials)
     }
 
+    // SAFETY: callers pass `WideAvx512`, which is only in
+    // `available_engines()` after `avx512_available()` detected the
+    // whole AVX-512 feature set enabled here.
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn fma_driver_512<const E: u32, const F: u32>(
@@ -1830,6 +1677,8 @@ mod engine {
         super::fma_driver::<W5, E, F>(n, load_chunk, load_one, mode, out, specials)
     }
 
+    // SAFETY: callers pass `WideAvx2`, which is only in
+    // `available_engines()` after `avx2_available()` detected AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn mac_driver_tf<const E: u32, const F: u32>(
         a_t: &[u64],
@@ -1842,6 +1691,9 @@ mod engine {
         super::mac_driver::<W2, E, F>(a_t, stride, rows, b, c, mode)
     }
 
+    // SAFETY: callers pass `WideAvx512`, which is only in
+    // `available_engines()` after `avx512_available()` detected the
+    // whole AVX-512 feature set enabled here.
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
     pub(super) unsafe fn mac_driver_512<const E: u32, const F: u32>(
         a_t: &[u64],
@@ -1855,127 +1707,49 @@ mod engine {
     }
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-mod engine {
-    use super::*;
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn bin_driver_tf<const E: u32, const F: u32, const OP: u8>(
-        n: usize,
-        load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
-        load_one: impl Fn(usize) -> (u64, u64),
-        mode: RoundMode,
-        out: &mut Vec<(u64, Flags)>,
-        specials: &mut Vec<u32>,
-    ) {
-        super::bin_driver::<Wp, E, F, OP>(n, load_chunk, load_one, mode, out, specials)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn fma_driver_tf<const E: u32, const F: u32>(
-        n: usize,
-        load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
-        load_one: impl Fn(usize) -> (u64, u64, u64),
-        mode: RoundMode,
-        out: &mut Vec<(u64, Flags)>,
-        specials: &mut Vec<u32>,
-    ) {
-        super::fma_driver::<Wp, E, F>(n, load_chunk, load_one, mode, out, specials)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn bin_driver_512<const E: u32, const F: u32, const OP: u8>(
-        n: usize,
-        load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
-        load_one: impl Fn(usize) -> (u64, u64),
-        mode: RoundMode,
-        out: &mut Vec<(u64, Flags)>,
-        specials: &mut Vec<u32>,
-    ) {
-        super::bin_driver::<Wp, E, F, OP>(n, load_chunk, load_one, mode, out, specials)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn fma_driver_512<const E: u32, const F: u32>(
-        n: usize,
-        load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
-        load_one: impl Fn(usize) -> (u64, u64, u64),
-        mode: RoundMode,
-        out: &mut Vec<(u64, Flags)>,
-        specials: &mut Vec<u32>,
-    ) {
-        super::fma_driver::<Wp, E, F>(n, load_chunk, load_one, mode, out, specials)
-    }
-
-    pub(super) unsafe fn mac_driver_tf<const E: u32, const F: u32>(
-        a_t: &[u64],
-        stride: usize,
-        rows: usize,
-        b: &[u64],
-        c: &mut [u64],
-        mode: RoundMode,
-    ) -> Flags {
-        super::mac_driver::<Wp, E, F>(a_t, stride, rows, b, c, mode)
-    }
-
-    pub(super) unsafe fn mac_driver_512<const E: u32, const F: u32>(
-        a_t: &[u64],
-        stride: usize,
-        rows: usize,
-        b: &[u64],
-        c: &mut [u64],
-        mode: RoundMode,
-    ) -> Flags {
-        super::mac_driver::<Wp, E, F>(a_t, stride, rows, b, c, mode)
-    }
-}
-
-/// Dispatch a driver over (named lane × engine). The AVX2/AVX-512 arms
-/// are sound: they are only reachable when engine resolution saw a
-/// positive `is_x86_feature_detected!` for the matching feature set.
+/// Dispatch a driver over (named lane × intrinsics engine). Every caller
+/// passes an engine from [`available_engines`] — policy resolution or the
+/// `*_with` assertion — and routes the scalar engine and dynamic lanes
+/// to the scalar lane first. Off x86-64 there is no intrinsics arm.
 macro_rules! wide_dispatch {
     (bin, $eng:expr, $lane:expr, $op:expr, $($arg:expr),*) => {
-        match ($lane, $eng) {
-            (Lane::Single, SimdEngine::WideAvx512) => unsafe { engine::bin_driver_512::<8, 23, $op>($($arg),*) },
-            (Lane::Single, SimdEngine::WideAvx2) => unsafe { engine::bin_driver_tf::<8, 23, $op>($($arg),*) },
-            (Lane::Single, _) => bin_driver::<Wp, 8, 23, $op>($($arg),*),
-            (Lane::W48, SimdEngine::WideAvx512) => unsafe { engine::bin_driver_512::<11, 36, $op>($($arg),*) },
-            (Lane::W48, SimdEngine::WideAvx2) => unsafe { engine::bin_driver_tf::<11, 36, $op>($($arg),*) },
-            (Lane::W48, _) => bin_driver::<Wp, 11, 36, $op>($($arg),*),
-            (Lane::Double, SimdEngine::WideAvx512) => unsafe { engine::bin_driver_512::<11, 52, $op>($($arg),*) },
-            (Lane::Double, SimdEngine::WideAvx2) => unsafe { engine::bin_driver_tf::<11, 52, $op>($($arg),*) },
-            (Lane::Double, _) => bin_driver::<Wp, 11, 52, $op>($($arg),*),
-            (Lane::Dyn, _) => unreachable!("wide dispatch requires a named lane"),
-        }
+        wide_dispatch!(@lane bin_driver_512, bin_driver_tf, $eng, $lane, [$op], $($arg),*)
     };
     (fma, $eng:expr, $lane:expr, $($arg:expr),*) => {
-        match ($lane, $eng) {
-            (Lane::Single, SimdEngine::WideAvx512) => unsafe { engine::fma_driver_512::<8, 23>($($arg),*) },
-            (Lane::Single, SimdEngine::WideAvx2) => unsafe { engine::fma_driver_tf::<8, 23>($($arg),*) },
-            (Lane::Single, _) => fma_driver::<Wp, 8, 23>($($arg),*),
-            (Lane::W48, SimdEngine::WideAvx512) => unsafe { engine::fma_driver_512::<11, 36>($($arg),*) },
-            (Lane::W48, SimdEngine::WideAvx2) => unsafe { engine::fma_driver_tf::<11, 36>($($arg),*) },
-            (Lane::W48, _) => fma_driver::<Wp, 11, 36>($($arg),*),
-            (Lane::Double, SimdEngine::WideAvx512) => unsafe { engine::fma_driver_512::<11, 52>($($arg),*) },
-            (Lane::Double, SimdEngine::WideAvx2) => unsafe { engine::fma_driver_tf::<11, 52>($($arg),*) },
-            (Lane::Double, _) => fma_driver::<Wp, 11, 52>($($arg),*),
-            (Lane::Dyn, _) => unreachable!("wide dispatch requires a named lane"),
-        }
+        wide_dispatch!(@lane fma_driver_512, fma_driver_tf, $eng, $lane, [], $($arg),*)
     };
     (mac, $eng:expr, $lane:expr, $($arg:expr),*) => {
-        match ($lane, $eng) {
-            (Lane::Single, SimdEngine::WideAvx512) => unsafe { engine::mac_driver_512::<8, 23>($($arg),*) },
-            (Lane::Single, SimdEngine::WideAvx2) => unsafe { engine::mac_driver_tf::<8, 23>($($arg),*) },
-            (Lane::Single, _) => mac_driver::<Wp, 8, 23>($($arg),*),
-            (Lane::W48, SimdEngine::WideAvx512) => unsafe { engine::mac_driver_512::<11, 36>($($arg),*) },
-            (Lane::W48, SimdEngine::WideAvx2) => unsafe { engine::mac_driver_tf::<11, 36>($($arg),*) },
-            (Lane::W48, _) => mac_driver::<Wp, 11, 36>($($arg),*),
-            (Lane::Double, SimdEngine::WideAvx512) => unsafe { engine::mac_driver_512::<11, 52>($($arg),*) },
-            (Lane::Double, SimdEngine::WideAvx2) => unsafe { engine::mac_driver_tf::<11, 52>($($arg),*) },
-            (Lane::Double, _) => mac_driver::<Wp, 11, 52>($($arg),*),
-            (Lane::Dyn, _) => unreachable!("wide dispatch requires a named lane"),
+        wide_dispatch!(@lane mac_driver_512, mac_driver_tf, $eng, $lane, [], $($arg),*)
+    };
+    (@lane $d512:ident, $d2:ident, $eng:expr, $lane:expr, [$($op:tt)?], $($arg:expr),*) => {
+        match $lane {
+            Lane::Single => wide_dispatch!(@eng $d512, $d2, $eng, [8, 23 $(, $op)?], $($arg),*),
+            Lane::W48 => wide_dispatch!(@eng $d512, $d2, $eng, [11, 36 $(, $op)?], $($arg),*),
+            Lane::Double => wide_dispatch!(@eng $d512, $d2, $eng, [11, 52 $(, $op)?], $($arg),*),
+            Lane::Dyn => unreachable!("wide dispatch requires a named lane"),
         }
     };
+    (@eng $d512:ident, $d2:ident, $eng:expr, [$($g:tt),*], $($arg:expr),*) => {
+        match $eng {
+            // SAFETY: `WideAvx512` is only in `available_engines()` after
+            // `avx512_available()` detected the AVX-512 feature set.
+            #[cfg(target_arch = "x86_64")]
+            SimdEngine::WideAvx512 => unsafe { engine::$d512::<$($g),*>($($arg),*) },
+            // SAFETY: `WideAvx2` is only in `available_engines()` after
+            // `avx2_available()` detected AVX2.
+            #[cfg(target_arch = "x86_64")]
+            SimdEngine::WideAvx2 => unsafe { engine::$d2::<$($g),*>($($arg),*) },
+            _ => no_wide_engine(($(&$arg),*)),
+        }
+    };
+}
+
+/// The `wide_dispatch!` arm for an engine with no driver on this target
+/// (or the scalar engine): unreachable, because every caller passes an
+/// intrinsics engine from [`available_engines`]. Taking the driver's
+/// arguments keeps them used where no intrinsics arm is compiled.
+fn no_wide_engine<A, T>(_args: A) -> T {
+    unreachable!("wide dispatch requires an available intrinsics engine")
 }
 
 /// Run a binary batch on an explicit engine and fix up the special lanes
@@ -2077,8 +1851,12 @@ fn pairs_chunk(pairs: &[(u64, u64)]) -> impl Fn(usize, &mut [u64; LANES], &mut [
     }
 }
 
-/// Batched `a[i] + b[i]` on an explicit engine (lengths must match; named
-/// formats only fall back to the scalar lane when `fmt` is dynamic).
+/// Batched `a[i] + b[i]` on an explicit engine (lengths must match; wide
+/// engines fall back to the scalar lane only when `fmt` is dynamic).
+///
+/// # Panics
+/// When `eng` is not in [`available_engines`] (the same holds for every
+/// `*_with` entry point) or the lengths differ.
 pub fn add_bits_batch_with(
     eng: SimdEngine,
     fmt: FpFormat,
@@ -2087,6 +1865,7 @@ pub fn add_bits_batch_with(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    assert_available(eng);
     assert_eq!(a.len(), b.len(), "{}", fastpath::LEN_MISMATCH);
     out.reserve(a.len());
     let lane = lane_of(fmt);
@@ -2119,6 +1898,7 @@ pub fn sub_bits_batch_with(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    assert_available(eng);
     assert_eq!(a.len(), b.len(), "{}", fastpath::LEN_MISMATCH);
     out.reserve(a.len());
     let lane = lane_of(fmt);
@@ -2151,6 +1931,7 @@ pub fn mul_bits_batch_with(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    assert_available(eng);
     assert_eq!(a.len(), b.len(), "{}", fastpath::LEN_MISMATCH);
     out.reserve(a.len());
     let lane = lane_of(fmt);
@@ -2184,6 +1965,7 @@ pub fn fma_bits_batch_with(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    assert_available(eng);
     assert_eq!(a.len(), b.len(), "{}", fastpath::LEN_MISMATCH);
     assert_eq!(a.len(), c.len(), "{}", fastpath::LEN_MISMATCH);
     out.reserve(a.len());
@@ -2216,7 +1998,8 @@ pub fn fma_bits_batch_with(
 /// dynamic formats run the scalar twin).
 ///
 /// # Panics
-/// As [`fastpath::mac_column`].
+/// When `eng` is not in [`available_engines`], and as
+/// [`fastpath::mac_column`].
 #[allow(clippy::too_many_arguments)] // the kernel's seven operands plus the engine
 pub fn mac_column_with(
     eng: SimdEngine,
@@ -2228,6 +2011,7 @@ pub fn mac_column_with(
     c: &mut [u64],
     mode: RoundMode,
 ) -> Flags {
+    assert_available(eng);
     fastpath::check_mac_shape(a_t.len(), stride, rows, b.len(), c.len());
     let lane = lane_of(fmt);
     if eng == SimdEngine::Scalar || matches!(lane, Lane::Dyn) {
@@ -2550,17 +2334,6 @@ mod tests {
     const MODES: [RoundMode; 2] = [RoundMode::NearestEven, RoundMode::Truncate];
     const FORMATS: [FpFormat; 3] = [FpFormat::SINGLE, FpFormat::FP48, FpFormat::DOUBLE];
 
-    fn engines() -> Vec<SimdEngine> {
-        let mut v = vec![SimdEngine::Scalar, SimdEngine::WidePortable];
-        if avx2_available() {
-            v.push(SimdEngine::WideAvx2);
-        }
-        if avx512_available() {
-            v.push(SimdEngine::WideAvx512);
-        }
-        v
-    }
-
     /// A mix of specials and normals for each format.
     fn probe_values(fmt: FpFormat) -> Vec<u64> {
         let sign = 1u64 << fmt.sign_shift();
@@ -2614,7 +2387,7 @@ mod tests {
                     .zip(&b)
                     .map(|(&x, &y)| ops::mul::mul(fmt, x, y, mode))
                     .collect();
-                for eng in engines() {
+                for &eng in available_engines() {
                     let mut got = Vec::new();
                     add_bits_batch_with(eng, fmt, &a, &b, mode, &mut got);
                     assert_eq!(got, expect_add, "add {fmt:?} {mode:?} {eng:?}");
@@ -2651,7 +2424,7 @@ mod tests {
                 let expect: Vec<_> = (0..a.len())
                     .map(|i| ops::fma::fma(fmt, a[i], b[i], c[i], mode))
                     .collect();
-                for eng in engines() {
+                for &eng in available_engines() {
                     let mut got = Vec::new();
                     fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut got);
                     assert_eq!(got, expect, "fma {fmt:?} {mode:?} {eng:?}");
@@ -2737,7 +2510,7 @@ mod tests {
             a.iter().zip(&b).map(|(&x, &y)| (x, y, x ^ 1)).collect();
         let c: Vec<u64> = a.iter().map(|&x| x ^ 1).collect();
         let mode = RoundMode::NearestEven;
-        for eng in engines() {
+        for &eng in available_engines() {
             if eng == SimdEngine::Scalar {
                 continue;
             }
@@ -2803,32 +2576,21 @@ mod tests {
         // Engine resolution is pure in the policy + detection result; the
         // global store/load round-trips every variant. (Leaves the policy
         // reset to Auto: other tests in this binary never set it.)
-        for p in [
-            SimdPolicy::ForceScalar,
-            SimdPolicy::ForceWide,
-            SimdPolicy::ForceWidePortable,
-            SimdPolicy::ForceWideAvx2,
-            SimdPolicy::Auto,
-        ] {
+        let engines = available_engines();
+        assert_eq!(engines[0], SimdEngine::Scalar);
+        assert_eq!(engines.contains(&SimdEngine::WideAvx2), avx2_available());
+        assert_eq!(
+            engines.contains(&SimdEngine::WideAvx512),
+            avx512_available()
+        );
+        for p in [SimdPolicy::ForceScalar, SimdPolicy::Auto] {
             set_simd_policy(p);
             assert_eq!(simd_policy(), p);
-            let eng = active_engine();
-            match p {
-                SimdPolicy::ForceScalar => assert_eq!(eng, SimdEngine::Scalar),
-                SimdPolicy::ForceWidePortable => assert_eq!(eng, SimdEngine::WidePortable),
-                SimdPolicy::ForceWideAvx2 => assert!(matches!(
-                    eng,
-                    SimdEngine::WideAvx2 | SimdEngine::WidePortable
-                )),
-                SimdPolicy::ForceWide => assert!(matches!(
-                    eng,
-                    SimdEngine::WideAvx512 | SimdEngine::WideAvx2 | SimdEngine::WidePortable
-                )),
-                SimdPolicy::Auto => assert!(matches!(
-                    eng,
-                    SimdEngine::WideAvx512 | SimdEngine::WideAvx2 | SimdEngine::Scalar
-                )),
-            }
+            let want = match p {
+                SimdPolicy::ForceScalar => SimdEngine::Scalar,
+                SimdPolicy::Auto => *engines.last().unwrap(),
+            };
+            assert_eq!(active_engine(), want);
         }
         set_simd_policy(SimdPolicy::Auto);
     }

@@ -12,23 +12,14 @@
 //! `add_bits`: every engine, three densities, ragged row tails, strided
 //! tiles, and the corner cases that leave the vector lane mid-column
 //! (overflowing and flushing products, exact cancellation to +0).
+//!
+//! "Every engine" is `simd::available_engines()`, so an AVX-512 host
+//! checks its AVX2 engine too. Engines the host lacks must make every
+//! `*_with` entry point panic before any of their instructions run.
 
 use fpfpga_softfp::simd::{self, SimdEngine};
 use fpfpga_softfp::{add_bits, fastpath, fma_bits, mul_bits, sub_bits, Flags, FpFormat, RoundMode};
 use proptest::prelude::*;
-
-/// Every engine this host can run. The scalar lane and the portable
-/// wide twin always exist; the intrinsics engines join when detected.
-fn engines() -> Vec<SimdEngine> {
-    let mut e = vec![SimdEngine::Scalar, SimdEngine::WidePortable];
-    if simd::avx2_available() {
-        e.push(SimdEngine::WideAvx2);
-    }
-    if simd::avx512_available() {
-        e.push(SimdEngine::WideAvx512);
-    }
-    e
-}
 
 const FORMATS: [FpFormat; 3] = FpFormat::PAPER_PRECISIONS;
 
@@ -98,7 +89,7 @@ fn check_density(fmt: FpFormat, mode: RoundMode, raw: &RawBatch, density_pct: u1
         .map(|i| fma_bits(fmt, a[i], b[i], c[i], mode))
         .collect();
 
-    for eng in engines() {
+    for &eng in simd::available_engines() {
         let mut out = Vec::new();
         simd::add_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
         assert_eq!(out, want_add, "{eng:?} add {fmt:?} {density_pct}%");
@@ -147,7 +138,7 @@ proptest! {
                                    raw in raw_batch()) {
         let a: Vec<u64> = raw.iter().map(|&(x, ..)| x & fmt.enc_mask()).collect();
         let b: Vec<u64> = raw.iter().map(|&(_, y, ..)| y & fmt.enc_mask()).collect();
-        for eng in engines() {
+        for &eng in simd::available_engines() {
             let mut out = Vec::new();
             simd::add_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
             for i in 0..a.len() {
@@ -265,7 +256,7 @@ impl MacCase {
             };
             (c, flags)
         };
-        for eng in engines() {
+        for &eng in simd::available_engines() {
             prop_assert_eq!(
                 run(Some(eng)),
                 want.clone(),
@@ -374,5 +365,87 @@ fn mac_column_overflow_flush_and_cancellation() {
             assert!(flags.overflow && flags.underflow, "{fmt:?} corner mix");
             case.check().expect("mac corner cases");
         }
+    }
+}
+
+/// Every `SimdEngine` variant, whether this host has it or not. The
+/// exhaustive match in `refusal_follows_available_engines` stops
+/// compiling when a variant is added without extending this list.
+const ALL_ENGINES: [SimdEngine; 3] = [
+    SimdEngine::Scalar,
+    SimdEngine::WideAvx2,
+    SimdEngine::WideAvx512,
+];
+
+/// Signature shared by the binary `*_bits_batch_with` entry points.
+type BatchWith = fn(SimdEngine, FpFormat, &[u64], &[u64], RoundMode, &mut Vec<(u64, Flags)>);
+
+/// The safe `*_with` entry points either run an engine and match the
+/// generic path, or panic before running it; which one happens must
+/// follow `simd::available_engines()` exactly. (A host that lacks an
+/// engine must never execute its instructions from safe code.)
+#[test]
+fn refusal_follows_available_engines() {
+    let fmt = FpFormat::SINGLE;
+    let mode = RoundMode::NearestEven;
+    let mut seed = 0x5eed_u64;
+    let mut op = || mac_operand(fmt, &mut seed, 5, true);
+    let a: Vec<u64> = (0..37).map(|_| op()).collect();
+    let b: Vec<u64> = (0..37).map(|_| op()).collect();
+    let c: Vec<u64> = (0..37).map(|_| op()).collect();
+    let generic = |f: fn(FpFormat, u64, u64, RoundMode) -> (u64, Flags)| -> Vec<(u64, Flags)> {
+        a.iter()
+            .zip(&b)
+            .map(|(&x, &y)| f(fmt, x, y, mode))
+            .collect()
+    };
+    let (want_add, want_sub, want_mul) = (generic(add_bits), generic(sub_bits), generic(mul_bits));
+    let want_fma: Vec<(u64, Flags)> = (0..a.len())
+        .map(|i| fma_bits(fmt, a[i], b[i], c[i], mode))
+        .collect();
+    let mac = MacCase::draw(fmt, mode, 19, 6, 2, 5, false, 0xface);
+    let want_mac = mac.reference();
+
+    for eng in ALL_ENGINES {
+        match eng {
+            SimdEngine::Scalar | SimdEngine::WideAvx2 | SimdEngine::WideAvx512 => {}
+        }
+        let available = simd::available_engines().contains(&eng);
+        let expect = |name: &str, run: &dyn Fn() -> bool| match std::panic::catch_unwind(
+            std::panic::AssertUnwindSafe(run),
+        ) {
+            Ok(matched) => {
+                assert!(available, "{eng:?} {name} ran on a host without it");
+                assert!(matched, "{eng:?} {name} differs from the generic path");
+            }
+            Err(payload) => {
+                let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    !available,
+                    "{eng:?} {name} refused although available: {msg}"
+                );
+                assert!(msg.contains("not available"), "{eng:?} {name}: {msg}");
+            }
+        };
+        let batch = |f: BatchWith, want: &Vec<(u64, Flags)>| {
+            let mut out = Vec::new();
+            f(eng, fmt, &a, &b, mode, &mut out);
+            out == *want
+        };
+        expect("add", &|| batch(simd::add_bits_batch_with, &want_add));
+        expect("sub", &|| batch(simd::sub_bits_batch_with, &want_sub));
+        expect("mul", &|| batch(simd::mul_bits_batch_with, &want_mul));
+        expect("fma", &|| {
+            let mut out = Vec::new();
+            simd::fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut out);
+            out == want_fma
+        });
+        expect("mac", &|| {
+            let mut acc = mac.c.clone();
+            let (stride, rows) = (mac.stride, mac.rows);
+            let flags =
+                simd::mac_column_with(eng, fmt, &mac.a_t, stride, rows, &mac.b, &mut acc, mode);
+            (acc, flags) == want_mac
+        });
     }
 }
