@@ -8,7 +8,7 @@
 //!
 //! A second set of lanes pins each `softfp::simd` engine explicitly
 //! (`add_simd_avx512`, `mul_simd_scalar`, …) through the
-//! `*_bits_batch_with` entry points, so per-engine regressions show up
+//! `*_pairs_batch_with` entry points, so per-engine regressions show up
 //! in criterion history; only `simd::available_engines()` get lanes.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -73,10 +73,11 @@ fn bench_softfp_fastpath(c: &mut Criterion) {
     for &(name, fmt) in &formats {
         let a = operands(fmt, 0x5eed ^ fmt.total_bits() as u64);
         let b = operands(fmt, 0xcafe ^ fmt.total_bits() as u64);
+        let pairs: Vec<(u64, u64)> = a.iter().copied().zip(b.iter().copied()).collect();
 
         // Equivalence gate: values and flags, every element, both ops.
         let mut batch: Vec<(u64, Flags)> = Vec::with_capacity(N);
-        fastpath::add_bits_batch(fmt, &a, &b, MODE, &mut batch);
+        fastpath::add_pairs_batch(fmt, &pairs, MODE, &mut batch);
         for i in 0..N {
             assert_eq!(
                 batch[i],
@@ -85,7 +86,7 @@ fn bench_softfp_fastpath(c: &mut Criterion) {
             );
         }
         batch.clear();
-        fastpath::mul_bits_batch(fmt, &a, &b, MODE, &mut batch);
+        fastpath::mul_pairs_batch(fmt, &pairs, MODE, &mut batch);
         for i in 0..N {
             assert_eq!(
                 batch[i],
@@ -102,10 +103,10 @@ fn bench_softfp_fastpath(c: &mut Criterion) {
             (
                 "add",
                 softfp::add_bits as fn(FpFormat, u64, u64, RoundMode) -> (u64, Flags),
-                fastpath::add_bits_batch
-                    as fn(FpFormat, &[u64], &[u64], RoundMode, &mut Vec<(u64, Flags)>),
+                fastpath::add_pairs_batch
+                    as fn(FpFormat, &[(u64, u64)], RoundMode, &mut Vec<(u64, Flags)>),
             ),
-            ("mul", softfp::mul_bits, fastpath::mul_bits_batch),
+            ("mul", softfp::mul_bits, fastpath::mul_pairs_batch),
         ] {
             let measure = |out: &mut Vec<(u64, Flags)>| {
                 paired_best_of(
@@ -119,7 +120,7 @@ fn bench_softfp_fastpath(c: &mut Criterion) {
                     },
                     || {
                         out.clear();
-                        batched(fmt, &a, &b, MODE, out);
+                        batched(fmt, &pairs, MODE, out);
                         out.len() as u64
                     },
                 )
@@ -159,7 +160,7 @@ fn bench_softfp_fastpath(c: &mut Criterion) {
         g.bench_function("add_fastpath_batch", |bch| {
             bch.iter(|| {
                 out.clear();
-                fastpath::add_bits_batch(fmt, &a, &b, MODE, &mut out);
+                fastpath::add_pairs_batch(fmt, &pairs, MODE, &mut out);
                 out.len()
             })
         });
@@ -175,15 +176,20 @@ fn bench_softfp_fastpath(c: &mut Criterion) {
         g.bench_function("mul_fastpath_batch", |bch| {
             bch.iter(|| {
                 out.clear();
-                fastpath::mul_bits_batch(fmt, &a, &b, MODE, &mut out);
+                fastpath::mul_pairs_batch(fmt, &pairs, MODE, &mut out);
                 out.len()
             })
         });
         g.bench_function("fma_fastpath_batch", |bch| {
             let c_ops = operands(fmt, 0xf00d ^ fmt.total_bits() as u64);
+            let triples: Vec<(u64, u64, u64)> = pairs
+                .iter()
+                .zip(&c_ops)
+                .map(|(&(x, y), &z)| (x, y, z))
+                .collect();
             bch.iter(|| {
                 out.clear();
-                fastpath::fma_bits_batch(fmt, &a, &b, &c_ops, MODE, &mut out);
+                fastpath::fma_triples_batch(fmt, &triples, MODE, &mut out);
                 out.len()
             })
         });
@@ -198,14 +204,14 @@ fn bench_softfp_fastpath(c: &mut Criterion) {
             g.bench_function(format!("add_simd_{eng_name}"), |bch| {
                 bch.iter(|| {
                     out.clear();
-                    simd::add_bits_batch_with(eng, fmt, &a, &b, MODE, &mut out);
+                    simd::add_pairs_batch_with(eng, fmt, &pairs, MODE, &mut out);
                     out.len()
                 })
             });
             g.bench_function(format!("mul_simd_{eng_name}"), |bch| {
                 bch.iter(|| {
                     out.clear();
-                    simd::mul_bits_batch_with(eng, fmt, &a, &b, MODE, &mut out);
+                    simd::mul_pairs_batch_with(eng, fmt, &pairs, MODE, &mut out);
                     out.len()
                 })
             });

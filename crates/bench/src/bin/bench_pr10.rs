@@ -37,6 +37,17 @@ fn operands(fmt: FpFormat, n: usize, seed: u64) -> Vec<u64> {
     (0..n).map(|_| splitmix(&mut s) & fmt.enc_mask()).collect()
 }
 
+/// `N` random `(a, b, c)` operand triples drawn from three seeded streams.
+fn triples(fmt: FpFormat, seeds: [u64; 3]) -> Vec<(u64, u64, u64)> {
+    let [a, b, c] = seeds.map(|seed| operands(fmt, N, seed));
+    (0..N).map(|i| (a[i], b[i], c[i])).collect()
+}
+
+/// The `(a, b)` pairs of `triples`.
+fn pairs(triples: &[(u64, u64, u64)]) -> Vec<(u64, u64)> {
+    triples.iter().map(|&(a, b, _)| (a, b)).collect()
+}
+
 /// Random operands where roughly `density_pct`% are special encodings
 /// (zeros, infinities, denormal patterns) — the classify-then-partition
 /// pass's fixup rate.
@@ -137,30 +148,30 @@ impl OpRun {
 fn run_op(
     op: &'static str,
     fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
-    c: &[u64],
+    triples: &[(u64, u64, u64)],
     out: &mut Vec<(u64, Flags)>,
 ) -> OpRun {
+    let pairs = pairs(triples);
+    let pairs = pairs.as_slice();
     let run = |eng: SimdEngine, out: &mut Vec<(u64, Flags)>| match op {
         "add" => {
             out.clear();
-            simd::add_bits_batch_with(eng, fmt, a, b, MODE, out);
+            simd::add_pairs_batch_with(eng, fmt, pairs, MODE, out);
             out.len() as u64
         }
         "sub" => {
             out.clear();
-            simd::sub_bits_batch_with(eng, fmt, a, b, MODE, out);
+            simd::sub_pairs_batch_with(eng, fmt, pairs, MODE, out);
             out.len() as u64
         }
         "mul" => {
             out.clear();
-            simd::mul_bits_batch_with(eng, fmt, a, b, MODE, out);
+            simd::mul_pairs_batch_with(eng, fmt, pairs, MODE, out);
             out.len() as u64
         }
         _ => {
             out.clear();
-            simd::fma_bits_batch_with(eng, fmt, a, b, c, MODE, out);
+            simd::fma_triples_batch_with(eng, fmt, triples, MODE, out);
             out.len() as u64
         }
     };
@@ -186,14 +197,13 @@ fn run_op(
 }
 
 fn format_section(fmt: FpFormat, name: &str, runs_out: &mut Vec<(String, OpRun)>) -> Value {
-    let a = operands(fmt, N, 0x5eed ^ fmt.total_bits() as u64);
-    let b = operands(fmt, N, 0xcafe ^ fmt.total_bits() as u64);
-    let c = operands(fmt, N, 0xf00d ^ fmt.total_bits() as u64);
+    let bits = fmt.total_bits() as u64;
+    let triples = triples(fmt, [0x5eed ^ bits, 0xcafe ^ bits, 0xf00d ^ bits]);
     let mut out: Vec<(u64, Flags)> = Vec::with_capacity(N);
 
     let mut rows = Vec::new();
     for op in ["add", "sub", "mul", "fma"] {
-        let r = run_op(op, fmt, &a, &b, &c, &mut out);
+        let r = run_op(op, fmt, &triples, &mut out);
         let line: Vec<String> = r.mops.iter().map(|(n, m)| format!("{n} {m:.1}")).collect();
         println!("softfp {name} {op}: {} Mop/s", line.join(", "));
         rows.push(r.to_json());
@@ -214,16 +224,17 @@ fn density_section(fmt: FpFormat, name: &str) -> Value {
     for density in [0u32, 5, 50, 100] {
         let a = operands_with_specials(fmt, N, 0xd00d + density as u64, density);
         let b = operands_with_specials(fmt, N, 0xbeef + density as u64, density);
+        let pairs: Vec<(u64, u64)> = a.into_iter().zip(b).collect();
         let (ts, tw) = paired_best_of(
             ROUNDS,
             || {
                 out.clear();
-                simd::add_bits_batch_with(SimdEngine::Scalar, fmt, &a, &b, MODE, &mut out);
+                simd::add_pairs_batch_with(SimdEngine::Scalar, fmt, &pairs, MODE, &mut out);
                 out.len() as u64
             },
             || {
                 o2.clear();
-                simd::add_bits_batch_with(wide, fmt, &a, &b, MODE, &mut o2);
+                simd::add_pairs_batch_with(wide, fmt, &pairs, MODE, &mut o2);
                 o2.len() as u64
             },
         );
@@ -306,16 +317,12 @@ fn main() {
                     "f48" => FpFormat::FP48,
                     _ => FpFormat::DOUBLE,
                 };
-                let a = operands(fmt, N, 0x1234);
-                let b = operands(fmt, N, 0x5678);
-                let c = operands(fmt, N, 0x9abc);
+                let triples = triples(fmt, [0x1234, 0x5678, 0x9abc]);
                 let mut out = Vec::with_capacity(N);
                 let r = run_op(
                     if op == "add" { "add" } else { "mul" },
                     fmt,
-                    &a,
-                    &b,
-                    &c,
+                    &triples,
                     &mut out,
                 );
                 let speedup = r.engine(wide_name).unwrap() / r.scalar();

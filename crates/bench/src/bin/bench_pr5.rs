@@ -71,6 +71,12 @@ fn softfp_section(fmt: FpFormat, name: &str) -> Value {
     let a = operands(fmt, N, 0x5eed ^ fmt.total_bits() as u64);
     let b = operands(fmt, N, 0xcafe ^ fmt.total_bits() as u64);
     let c = operands(fmt, N, 0xf00d ^ fmt.total_bits() as u64);
+    let pairs: Vec<(u64, u64)> = a.iter().copied().zip(b.iter().copied()).collect();
+    let triples: Vec<(u64, u64, u64)> = pairs
+        .iter()
+        .zip(&c)
+        .map(|(&(x, y), &z)| (x, y, z))
+        .collect();
     let mut out: Vec<(u64, Flags)> = Vec::with_capacity(N);
     let mops = |secs: f64| N as f64 / secs / 1e6;
 
@@ -85,7 +91,7 @@ fn softfp_section(fmt: FpFormat, name: &str) -> Value {
         },
         || {
             out.clear();
-            fastpath::add_bits_batch(fmt, &a, &b, MODE, &mut out);
+            fastpath::add_pairs_batch(fmt, &pairs, MODE, &mut out);
             out.len() as u64
         },
     );
@@ -100,13 +106,13 @@ fn softfp_section(fmt: FpFormat, name: &str) -> Value {
         },
         || {
             out.clear();
-            fastpath::mul_bits_batch(fmt, &a, &b, MODE, &mut out);
+            fastpath::mul_pairs_batch(fmt, &pairs, MODE, &mut out);
             out.len() as u64
         },
     );
     let t_fma_batch = best_of(5, || {
         out.clear();
-        fastpath::fma_bits_batch(fmt, &a, &b, &c, MODE, &mut out);
+        fastpath::fma_triples_batch(fmt, &triples, MODE, &mut out);
         out.len() as u64
     });
 

@@ -16,14 +16,15 @@
 //! `--threads N` shards every sweep over `N` scoped worker threads
 //! (0 = one per CPU); the output is byte-identical for every `N`.
 //! `--fastpath` (or the `FPUCONFORM_FASTPATH` environment variable)
-//! forces the softfp reference evaluation through the monomorphized
-//! `fastpath` kernels for add/sub/mul/fma, so the sweeps conformance-
-//! check the fast lane itself. `--simd scalar|auto` (or
-//! `FPUCONFORM_SIMD` plus `FPFPGA_SIMD`) goes one layer further and
-//! routes those ops through the `softfp::simd` dispatchers under the
-//! chosen policy — `auto` sweeps the host's best vector engine case by
-//! case. The report names the engine the policy resolved to (`simd_engine`
-//! in `--json`, the `simd engine:` header line otherwise).
+//! forces the softfp reference evaluation of add/sub/mul/fma through the
+//! `softfp::simd` dispatchers, which run each case through the batch
+//! path of the active SIMD policy's engine, so the sweeps conformance-
+//! check the fast lanes themselves. `--simd scalar|auto` sets that
+//! policy (as `FPFPGA_SIMD` does) and implies `--fastpath`: `scalar`
+//! sweeps the monomorphized scalar fast lane, `auto` the host's best
+//! vector engine, case by case. The report names the engine the policy
+//! resolved to (`simd_engine` in `--json`, the `simd engine:` header
+//! line otherwise).
 //!
 //! Exit status is 0 when every sweep agrees and 1 when any divergence
 //! was found (which is what the CI step keys off). Each stored
@@ -58,7 +59,9 @@ fn usage(err: &str) -> ! {
          \x20                 [--formats f32,f64,f48,e<E>f<F>] [--samples N] [--seed S]\n\
          \x20                 [--sweeps ieee,ftz,fpu,limb] [--max-divergences K]\n\
          \x20                 [--limb-formats f128,f256,e<E>f<F>]\n\
-         \x20                 [--threads N] [--fastpath] [--simd scalar|auto] [--json]"
+         \x20                 [--threads N] [--fastpath] [--simd scalar|auto] [--json]\n\
+         --fastpath sweeps add/sub/mul/fma through the SIMD policy's batch path;\n\
+         --simd scalar|auto sets that policy and implies --fastpath"
     );
     std::process::exit(2);
 }
@@ -134,7 +137,7 @@ fn parse_args() -> Args {
                     other => usage(&format!("unknown simd mode `{other}` (scalar, auto)")),
                 };
                 simd::set_simd_policy(policy);
-                diff::set_force_simd(true);
+                diff::set_force_fastpath(true);
             }
             "--json" => json = true,
             "--help" | "-h" => usage("help requested"),

@@ -23,47 +23,30 @@ use fpfpga_softfp::{Flags, FpFormat, RoundMode};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Process-wide switch forcing [`eval_ftz`] through the monomorphized
-/// `softfp::fastpath` kernels for the ops that have a fast lane
-/// (add/sub/mul/fma). Settable programmatically ([`set_force_fastpath`])
-/// or via the `FPUCONFORM_FASTPATH` environment variable (any value but
-/// `0`); the sweeps must produce byte-identical reports either way —
-/// that equivalence is exactly what a forced conformance run checks.
+/// Process-wide switch routing [`eval_ftz`] add/sub/mul/fma through the
+/// `softfp::simd` one-shot dispatchers, which run each case through the
+/// batch path of the engine the active
+/// [`SimdPolicy`](fpfpga_softfp::simd::SimdPolicy) resolves to:
+/// `ForceScalar` sweeps the monomorphized scalar fast lane, `Auto` on an
+/// AVX2/AVX-512 host the real vector datapath (broadcast batch,
+/// classify-then-partition fixup). Settable programmatically
+/// ([`set_force_fastpath`]) or via the `FPUCONFORM_FASTPATH` environment
+/// variable (any value but `0`); the sweeps must produce byte-identical
+/// reports either way — that equivalence is exactly what a forced
+/// conformance run checks.
 static FORCE_FASTPATH: AtomicBool = AtomicBool::new(false);
 static FASTPATH_ENV: OnceLock<bool> = OnceLock::new();
 
-/// Force (or stop forcing) the fast-lane kernels in [`eval_ftz`].
+/// Force (or stop forcing) the fast lanes in [`eval_ftz`].
 pub fn set_force_fastpath(on: bool) {
     FORCE_FASTPATH.store(on, Ordering::Relaxed);
 }
 
-/// True when the fast lane is forced, by flag or by environment.
+/// True when the fast lanes are forced, by flag or by environment.
 pub fn fastpath_forced() -> bool {
     FORCE_FASTPATH.load(Ordering::Relaxed)
         || *FASTPATH_ENV
             .get_or_init(|| std::env::var_os("FPUCONFORM_FASTPATH").is_some_and(|v| v != *"0"))
-}
-
-/// Process-wide switch routing [`eval_ftz`] add/sub/mul/fma through the
-/// `softfp::simd` one-shot dispatchers, which honor the active
-/// [`SimdPolicy`](fpfpga_softfp::simd::SimdPolicy) — so a sweep under
-/// `--simd auto` on an AVX2/AVX-512 host exercises the real vector datapath (broadcast batch,
-/// classify-then-partition fixup) case by case. Settable
-/// programmatically ([`set_force_simd`]) or via the `FPUCONFORM_SIMD`
-/// environment variable (any value but `0`). Takes precedence over the
-/// fast-lane switch; sweeps must stay byte-identical in every mode.
-static FORCE_SIMD: AtomicBool = AtomicBool::new(false);
-static SIMD_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Force (or stop forcing) the SIMD dispatchers in [`eval_ftz`].
-pub fn set_force_simd(on: bool) {
-    FORCE_SIMD.store(on, Ordering::Relaxed);
-}
-
-/// True when the SIMD dispatchers are forced, by flag or by environment.
-pub fn simd_forced() -> bool {
-    FORCE_SIMD.load(Ordering::Relaxed)
-        || *SIMD_ENV.get_or_init(|| std::env::var_os("FPUCONFORM_SIMD").is_some_and(|v| v != *"0"))
 }
 
 /// An operation under test.
@@ -517,13 +500,11 @@ fn outside_ftz_domain(fmt: FpFormat, bits: u64) -> bool {
 }
 
 /// Evaluate a case with the paper-faithful flush-to-zero ops. When the
-/// SIMD dispatch is forced ([`simd_forced`]), add/sub/mul/fma route
+/// fast lanes are forced ([`fastpath_forced`]), add/sub/mul/fma route
 /// through the `softfp::simd` one-shot dispatchers under the active
-/// policy; otherwise, when the fast lane is forced
-/// ([`fastpath_forced`]), they route through the monomorphized
-/// `softfp::fastpath` dispatchers instead of the generic unpacked path.
-/// div/sqrt/convert/compare have no fast or vector lane and always use
-/// the generic implementations.
+/// policy instead of the generic unpacked path. div/sqrt/convert/compare
+/// have no fast or vector lane and always use the generic
+/// implementations.
 pub fn eval_ftz(case: &Case) -> (u64, Flags) {
     let Case {
         op,
@@ -533,23 +514,13 @@ pub fn eval_ftz(case: &Case) -> (u64, Flags) {
         b,
         c,
     } = *case;
-    if simd_forced() {
+    if fastpath_forced() {
         use fpfpga_softfp::simd;
         match op {
             Op::Add => return simd::add_bits(fmt, a, b, mode),
             Op::Sub => return simd::sub_bits(fmt, a, b, mode),
             Op::Mul => return simd::mul_bits(fmt, a, b, mode),
             Op::Fma => return simd::fma_bits(fmt, a, b, c, mode),
-            _ => {}
-        }
-    }
-    if fastpath_forced() {
-        use fpfpga_softfp::fastpath;
-        match op {
-            Op::Add => return fastpath::add_bits(fmt, a, b, mode),
-            Op::Sub => return fastpath::sub_bits(fmt, a, b, mode),
-            Op::Mul => return fastpath::mul_bits(fmt, a, b, mode),
-            Op::Fma => return fastpath::fma_bits(fmt, a, b, c, mode),
             _ => {}
         }
     }
@@ -851,7 +822,7 @@ mod tests {
 
     #[test]
     fn forced_fastpath_report_is_byte_identical() {
-        // The whole point of the fast lane: forcing it through every
+        // The whole point of the fast lanes: forcing them through every
         // sweep combination must not change a single byte of the report.
         let cfg = SweepConfig {
             ops: vec![Op::Add, Op::Sub, Op::Mul, Op::Fma],
@@ -869,8 +840,9 @@ mod tests {
     #[test]
     fn forced_simd_report_is_byte_identical_in_every_policy() {
         use fpfpga_softfp::simd::{set_simd_policy, SimdPolicy};
-        // Divergence-free dispatch: every SIMD policy must reproduce the
-        // plain sweep report byte for byte.
+        // Divergence-free dispatch: the forced fast lanes must reproduce
+        // the plain sweep report byte for byte on the scalar lane and on
+        // the engine `Auto` picks.
         let cfg = SweepConfig {
             ops: vec![Op::Add, Op::Sub, Op::Mul, Op::Fma],
             formats: vec![FpFormat::SINGLE, FpFormat::DOUBLE],
@@ -878,14 +850,14 @@ mod tests {
             ..SweepConfig::default()
         };
         let plain = format!("{:?}", run_ftz_sweep(&cfg));
-        set_force_simd(true);
+        set_force_fastpath(true);
         for policy in [SimdPolicy::ForceScalar, SimdPolicy::Auto] {
             set_simd_policy(policy);
             let forced = format!("{:?}", run_ftz_sweep(&cfg));
             assert_eq!(plain, forced, "policy {policy:?}");
         }
         set_simd_policy(SimdPolicy::Auto);
-        set_force_simd(false);
+        set_force_fastpath(false);
         assert_eq!(plain, format!("{:?}", run_ftz_sweep(&cfg)));
     }
 }

@@ -19,10 +19,14 @@
 //!   on the raw encodings selects either the inlined normal-path
 //!   arithmetic or a fallback into the existing generic `unpacked` path
 //!   (zeros, infinities, flush/overflow corner cases all land there).
-//! * **Batch entry points** ([`add_bits_batch`], [`mul_bits_batch`],
-//!   [`add_pairs_batch`], …) that dispatch on the format **once per
-//!   slice** and append results to a caller-provided buffer instead of
-//!   allocating per element.
+//! * **Batch entry points** ([`add_pairs_batch`], [`sub_pairs_batch`],
+//!   [`mul_pairs_batch`], [`fma_triples_batch`], [`mac_column`]) that
+//!   dispatch on the format **once per slice** and append results to a
+//!   caller-provided buffer instead of allocating per element. Each op
+//!   has one implementation taking the SIMD engine as a parameter; its
+//!   scalar arm is the monomorphized loop here, its wide arm the
+//!   [`crate::simd`] vector pass. The entry points run it on
+//!   [`simd::active_engine`], the `simd::*_with` twins on a pinned one.
 //!
 //! Equivalence with the generic path — results *and* exception flags — is
 //! enforced by proptests over random formats (not just the three named
@@ -35,10 +39,7 @@ use crate::ops;
 use crate::ops::add::GRS_BITS;
 use crate::ops::fma::FMA_GRS;
 use crate::round::{shift_right_sticky, RoundMode};
-use crate::simd;
-
-/// Panic message used by every batch entry point on length mismatch.
-pub const LEN_MISMATCH: &str = "batch operand slices must have equal lengths";
+use crate::simd::{self, SimdEngine, OP_ADD, OP_MUL, OP_SUB};
 
 // ---------------------------------------------------------------------------
 // Normality test
@@ -622,138 +623,70 @@ macro_rules! dispatch_ternary {
     }};
 }
 
-/// Batched `a[i] + b[i]`, appended to `out`.
-///
-/// Dispatches on `fmt` once for the whole slice; `out` is reused across
-/// calls by the batch consumers (clear it first if you want only this
-/// batch's results).
-///
-/// # Panics
-/// Panics if `a.len() != b.len()`.
-pub fn add_bits_batch(
+/// The one implementation of the binary batches: `OP` (add, sub or mul)
+/// over `pairs` on engine `eng`, appended to `out`. An intrinsics engine
+/// on a named format runs the vector pass plus generic fixup
+/// ([`simd::run_bin`]); the scalar engine and dynamic formats run the
+/// monomorphized scalar loop.
+pub(crate) fn pairs_batch_on<const OP: u8>(
+    eng: SimdEngine,
     fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
+    pairs: &[(u64, u64)],
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
-    assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
-    out.reserve(a.len());
-    if simd::try_add_bits_batch(fmt, a, b, mode, out) {
-        return;
+    if let Some(lane) = simd::wide_lane(eng, fmt) {
+        return simd::run_bin::<OP>(eng, lane, fmt, pairs, mode, out);
     }
-    dispatch_binary!(
-        single_pass,
-        fmt,
-        mode,
-        a.iter().copied().zip(b.iter().copied()),
-        out,
-        add,
-        add_dyn
-    );
+    out.reserve(pairs.len());
+    let iter = pairs.iter().copied();
+    if OP == OP_ADD {
+        dispatch_binary!(single_pass, fmt, mode, iter, out, add, add_dyn);
+    } else if OP == OP_SUB {
+        dispatch_binary!(single_pass, fmt, mode, iter, out, sub, sub_dyn);
+    } else {
+        dispatch_binary!(
+            two_pass,
+            fmt,
+            mode,
+            iter,
+            out,
+            mul_normal,
+            ops::mul::mul,
+            mul_dyn
+        );
+    }
 }
 
-/// Batched `a[i] - b[i]`, appended to `out`.
-///
-/// # Panics
-/// Panics if `a.len() != b.len()`.
-pub fn sub_bits_batch(
+/// The one implementation of the fma batch, structured as
+/// [`pairs_batch_on`].
+pub(crate) fn fma_triples_batch_on(
+    eng: SimdEngine,
     fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
+    triples: &[(u64, u64, u64)],
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
-    assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
-    out.reserve(a.len());
-    if simd::try_sub_bits_batch(fmt, a, b, mode, out) {
-        return;
+    if let Some(lane) = simd::wide_lane(eng, fmt) {
+        return simd::run_fma(eng, lane, fmt, triples, mode, out);
     }
-    dispatch_binary!(
-        single_pass,
-        fmt,
-        mode,
-        a.iter().copied().zip(b.iter().copied()),
-        out,
-        sub,
-        sub_dyn
-    );
-}
-
-/// Batched `a[i] * b[i]`, appended to `out`.
-///
-/// # Panics
-/// Panics if `a.len() != b.len()`.
-pub fn mul_bits_batch(
-    fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) {
-    assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
-    out.reserve(a.len());
-    if simd::try_mul_bits_batch(fmt, a, b, mode, out) {
-        return;
-    }
-    dispatch_binary!(
-        two_pass,
-        fmt,
-        mode,
-        a.iter().copied().zip(b.iter().copied()),
-        out,
-        mul_normal,
-        ops::mul::mul,
-        mul_dyn
-    );
-}
-
-/// Batched `a[i]·b[i] + c[i]` with one rounding each, appended to `out`.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn fma_bits_batch(
-    fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
-    c: &[u64],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) {
-    assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
-    assert_eq!(a.len(), c.len(), "{}", LEN_MISMATCH);
-    out.reserve(a.len());
-    if simd::try_fma_bits_batch(fmt, a, b, c, mode, out) {
-        return;
-    }
-    let iter = a
-        .iter()
-        .zip(b.iter().zip(c.iter()))
-        .map(|(&x, (&y, &z))| (x, y, z));
-    dispatch_ternary!(fmt, mode, iter, out, fma, fma_dyn);
+    out.reserve(triples.len());
+    dispatch_ternary!(fmt, mode, triples.iter().copied(), out, fma, fma_dyn);
 }
 
 /// Batched `x + y` over `(x, y)` pairs — the shape the pipeline units'
-/// `run_batch` feeds — appended to `out`.
+/// `run_batch` feeds — appended to `out`, on the engine the
+/// [`SimdPolicy`](crate::simd::SimdPolicy) resolves to.
+///
+/// `out` is reused across calls by the batch consumers (clear it first
+/// if you want only this batch's results).
 pub fn add_pairs_batch(
     fmt: FpFormat,
     pairs: &[(u64, u64)],
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
-    out.reserve(pairs.len());
-    if simd::try_add_pairs_batch(fmt, pairs, mode, out) {
-        return;
-    }
-    dispatch_binary!(
-        single_pass,
-        fmt,
-        mode,
-        pairs.iter().copied(),
-        out,
-        add,
-        add_dyn
-    );
+    pairs_batch_on::<OP_ADD>(simd::active_engine(), fmt, pairs, mode, out);
 }
 
 /// Batched `x - y` over `(x, y)` pairs, appended to `out`.
@@ -763,19 +696,7 @@ pub fn sub_pairs_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
-    out.reserve(pairs.len());
-    if simd::try_sub_pairs_batch(fmt, pairs, mode, out) {
-        return;
-    }
-    dispatch_binary!(
-        single_pass,
-        fmt,
-        mode,
-        pairs.iter().copied(),
-        out,
-        sub,
-        sub_dyn
-    );
+    pairs_batch_on::<OP_SUB>(simd::active_engine(), fmt, pairs, mode, out);
 }
 
 /// Batched `x * y` over `(x, y)` pairs, appended to `out`.
@@ -785,20 +706,7 @@ pub fn mul_pairs_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
-    out.reserve(pairs.len());
-    if simd::try_mul_pairs_batch(fmt, pairs, mode, out) {
-        return;
-    }
-    dispatch_binary!(
-        two_pass,
-        fmt,
-        mode,
-        pairs.iter().copied(),
-        out,
-        mul_normal,
-        ops::mul::mul,
-        mul_dyn
-    );
+    pairs_batch_on::<OP_MUL>(simd::active_engine(), fmt, pairs, mode, out);
 }
 
 /// Batched `x·y + z` over `(x, y, z)` triples, appended to `out`.
@@ -808,36 +716,7 @@ pub fn fma_triples_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
-    out.reserve(triples.len());
-    if simd::try_fma_triples_batch(fmt, triples, mode, out) {
-        return;
-    }
-    dispatch_ternary!(fmt, mode, triples.iter().copied(), out, fma, fma_dyn);
-}
-
-/// Batched `a[i] * b` against one broadcast operand (a matmul column
-/// against a stationary B element), appended to `out`.
-pub fn mul_bcast_batch(
-    fmt: FpFormat,
-    a: &[u64],
-    b: u64,
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) {
-    out.reserve(a.len());
-    if simd::try_mul_bcast_batch(fmt, a, b, mode, out) {
-        return;
-    }
-    dispatch_binary!(
-        two_pass,
-        fmt,
-        mode,
-        a.iter().map(|&x| (x, b)),
-        out,
-        mul_normal,
-        ops::mul::mul,
-        mul_dyn
-    );
+    fma_triples_batch_on(simd::active_engine(), fmt, triples, mode, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -846,13 +725,7 @@ pub fn mul_bcast_batch(
 
 /// Panic unless `(a_t, stride, rows, b, c)` describe a valid
 /// [`mac_column`] call.
-pub(crate) fn check_mac_shape(
-    a_len: usize,
-    stride: usize,
-    rows: usize,
-    steps: usize,
-    c_len: usize,
-) {
+fn check_mac_shape(a_len: usize, stride: usize, rows: usize, steps: usize, c_len: usize) {
     assert!(
         c_len >= rows,
         "mac_column: c holds {c_len} rows, need {rows}"
@@ -893,9 +766,9 @@ pub(crate) fn mac_rows(
     flags
 }
 
-/// Scalar twin of [`mac_column`] (the `ForceScalar` engine, non-AVX2
-/// hosts and dynamic formats).
-pub(crate) fn mac_column_scalar(
+/// The scalar arm of [`mac_column_on`] (the scalar engine and dynamic
+/// formats).
+fn mac_column_scalar(
     fmt: FpFormat,
     a_t: &[u64],
     stride: usize,
@@ -946,10 +819,11 @@ pub(crate) fn mac_column_scalar(
 /// [`mul_bits`] then [`add_bits`]. `a_t` is the k-major (transposed)
 /// `A` tile. Returns the OR of every operation's exception flags.
 ///
-/// Wide engines keep an 8-row chunk of `c` in a register across all
-/// steps; lanes whose inputs, product or accumulator are not normal are
-/// redone for that step through the scalar kernels. The scalar engine
-/// and dynamic formats run a scalar twin.
+/// Runs on the engine the [`SimdPolicy`](crate::simd::SimdPolicy)
+/// resolves to. Wide engines keep an 8-row chunk of `c` in a register
+/// across all steps; lanes whose inputs, product or accumulator are not
+/// normal are redone for that step through the scalar kernels. The
+/// scalar engine and dynamic formats run the scalar loop.
 ///
 /// # Panics
 /// Panics if `c.len() < rows` or `a_t` is shorter than
@@ -963,11 +837,26 @@ pub fn mac_column(
     c: &mut [u64],
     mode: RoundMode,
 ) -> Flags {
+    mac_column_on(simd::active_engine(), fmt, a_t, stride, rows, b, c, mode)
+}
+
+/// The one implementation of the MAC column pass, on engine `eng`.
+#[allow(clippy::too_many_arguments)] // the kernel's seven operands plus the engine
+pub(crate) fn mac_column_on(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a_t: &[u64],
+    stride: usize,
+    rows: usize,
+    b: &[u64],
+    c: &mut [u64],
+    mode: RoundMode,
+) -> Flags {
     check_mac_shape(a_t.len(), stride, rows, b.len(), c.len());
-    if let Some(flags) = simd::try_mac_column(fmt, a_t, stride, rows, b, c, mode) {
-        return flags;
+    match simd::wide_lane(eng, fmt) {
+        Some(lane) => simd::run_mac(eng, lane, a_t, stride, rows, b, c, mode),
+        None => mac_column_scalar(fmt, a_t, stride, rows, b, c, mode),
     }
-    mac_column_scalar(fmt, a_t, stride, rows, b, c, mode)
 }
 
 #[cfg(test)]
@@ -1075,16 +964,16 @@ mod tests {
     fn batch_matches_scalar_and_appends() {
         let fmt = FpFormat::SINGLE;
         let vals = probe_values(fmt);
-        let a: Vec<u64> = vals.to_vec();
-        let b: Vec<u64> = vals.iter().rev().copied().collect();
+        let pairs: Vec<(u64, u64)> = vals
+            .iter()
+            .copied()
+            .zip(vals.iter().rev().copied())
+            .collect();
         let mut out = vec![(0xdead, Flags::NONE)]; // pre-existing element survives
-        add_bits_batch(fmt, &a, &b, RoundMode::NearestEven, &mut out);
-        assert_eq!(out.len(), 1 + a.len());
-        for i in 0..a.len() {
-            assert_eq!(
-                out[1 + i],
-                add_bits(fmt, a[i], b[i], RoundMode::NearestEven)
-            );
+        add_pairs_batch(fmt, &pairs, RoundMode::NearestEven, &mut out);
+        assert_eq!(out.len(), 1 + pairs.len());
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            assert_eq!(out[1 + i], add_bits(fmt, a, b, RoundMode::NearestEven));
         }
     }
 
@@ -1092,68 +981,10 @@ mod tests {
     fn batch_empty_slices_are_noops() {
         let fmt = FpFormat::FP48;
         let mut out = Vec::new();
-        add_bits_batch(fmt, &[], &[], RoundMode::NearestEven, &mut out);
-        sub_bits_batch(fmt, &[], &[], RoundMode::Truncate, &mut out);
-        mul_bits_batch(fmt, &[], &[], RoundMode::NearestEven, &mut out);
-        fma_bits_batch(fmt, &[], &[], &[], RoundMode::NearestEven, &mut out);
         add_pairs_batch(fmt, &[], RoundMode::NearestEven, &mut out);
         sub_pairs_batch(fmt, &[], RoundMode::NearestEven, &mut out);
         mul_pairs_batch(fmt, &[], RoundMode::NearestEven, &mut out);
         fma_triples_batch(fmt, &[], RoundMode::NearestEven, &mut out);
-        mul_bcast_batch(fmt, &[], 0, RoundMode::NearestEven, &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn add_batch_length_mismatch_panics() {
-        let mut out = Vec::new();
-        add_bits_batch(
-            FpFormat::SINGLE,
-            &[0],
-            &[],
-            RoundMode::NearestEven,
-            &mut out,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn mul_batch_length_mismatch_panics() {
-        let mut out = Vec::new();
-        mul_bits_batch(
-            FpFormat::SINGLE,
-            &[0, 1],
-            &[0],
-            RoundMode::Truncate,
-            &mut out,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn fma_batch_length_mismatch_panics() {
-        let mut out = Vec::new();
-        fma_bits_batch(
-            FpFormat::DOUBLE,
-            &[0],
-            &[0],
-            &[0, 1],
-            RoundMode::NearestEven,
-            &mut out,
-        );
-    }
-
-    #[test]
-    fn bcast_matches_pairs() {
-        let fmt = FpFormat::DOUBLE;
-        let a: Vec<u64> = probe_values(fmt);
-        let b = 0x4008_0000_0000_0000u64; // 3.0
-        let pairs: Vec<(u64, u64)> = a.iter().map(|&x| (x, b)).collect();
-        let mut out1 = Vec::new();
-        let mut out2 = Vec::new();
-        mul_bcast_batch(fmt, &a, b, RoundMode::NearestEven, &mut out1);
-        mul_pairs_batch(fmt, &pairs, RoundMode::NearestEven, &mut out2);
-        assert_eq!(out1, out2);
     }
 }

@@ -55,10 +55,7 @@ pub mod unpacked;
 pub mod value;
 
 pub use exceptions::Flags;
-pub use fastpath::{
-    add_bits_batch, add_pairs_batch, fma_bits_batch, fma_triples_batch, mul_bcast_batch,
-    mul_bits_batch, mul_pairs_batch, sub_bits_batch, sub_pairs_batch,
-};
+pub use fastpath::{add_pairs_batch, fma_triples_batch, mul_pairs_batch, sub_pairs_batch};
 pub use format::{FpFormat, ParseFormatError};
 pub use policy::{ParsePolicyError, PrecisionPolicy};
 pub use round::RoundMode;

@@ -49,10 +49,15 @@
 //!   `*_with` entry points pin any engine in [`available_engines`].
 //!   Both engines are bit-exact on every lane the partition pass keeps.
 //!
-//! The batch entry points in [`crate::fastpath`] consult this module
-//! first, so every existing consumer (the FPU pipeline's `run_batch`, the
-//! batched matmul kernels, the serving eltwise path, the network
-//! front-end) picks up the wide engine with zero call-site changes.
+//! Each batch op (add, sub, mul, fma, MAC column) has one
+//! implementation in [`crate::fastpath`] that takes the engine as a
+//! parameter and runs this module's drivers for the intrinsics engines.
+//! The policy entry points there ([`fastpath::add_pairs_batch`], …,
+//! [`fastpath::mac_column`]) pass [`active_engine`], so every consumer
+//! (the FPU pipeline's `run_batch`, the batched matmul kernels, the
+//! serving eltwise path, the network front-end) picks up the wide engine
+//! with zero call-site changes; the `*_with` twins here pass the
+//! engine their caller pins.
 
 // Off x86-64 no intrinsics engine exists, `available_engines()` is just
 // the scalar lane, and the generic vector kernels below are never
@@ -204,15 +209,6 @@ fn assert_available(eng: SimdEngine) {
         "simd engine {eng:?} is not available on this host (available: {:?})",
         available_engines()
     );
-}
-
-/// The wide engine to use, or `None` when the scalar lane should run.
-#[inline]
-fn wide_engine() -> Option<SimdEngine> {
-    match active_engine() {
-        SimdEngine::Scalar => None,
-        eng => Some(eng),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1395,9 +1391,10 @@ const FLAG_WORDS: [u64; 8] = {
 // Chunked batch drivers (classify-then-partition)
 // ---------------------------------------------------------------------------
 
-const OP_ADD: u8 = 0;
-const OP_SUB: u8 = 1;
-const OP_MUL: u8 = 2;
+/// Binary op selectors for the const-generic drivers and batches.
+pub(crate) const OP_ADD: u8 = 0;
+pub(crate) const OP_SUB: u8 = 1;
+pub(crate) const OP_MUL: u8 = 2;
 
 /// Binary-op batch driver: vector-compute every full chunk, record a
 /// branchless normality bitmask per chunk, and push special indices for
@@ -1406,21 +1403,23 @@ const OP_MUL: u8 = 2;
 #[inline(always)]
 #[allow(clippy::needless_range_loop)]
 fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8>(
-    n: usize,
-    load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
-    load_one: impl Fn(usize) -> (u64, u64),
+    pairs: &[(u64, u64)],
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
     specials: &mut Vec<u32>,
 ) {
     let rtn = mode == RoundMode::NearestEven;
+    let n = pairs.len();
     let full = n - n % LANES;
     out.reserve(n);
     let mut i = 0;
     while i < full {
         let mut xs = [0u64; LANES];
         let mut ys = [0u64; LANES];
-        load_chunk(i, &mut xs, &mut ys);
+        for (l, &(x, y)) in pairs[i..i + LANES].iter().enumerate() {
+            xs[l] = x;
+            ys[l] = y;
+        }
         // SAFETY: `W`'s engine was selected by positive runtime feature
         // detection (the dispatch layer's invariant). The interleaved
         // store targets capacity reserved above, under the compile-time
@@ -1462,8 +1461,7 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8>(
         }
         i += LANES;
     }
-    for j in full..n {
-        let (x, y) = load_one(j);
+    for &(x, y) in &pairs[full..] {
         out.push(if OP == OP_ADD {
             fastpath::add::<E, F>(x, y, mode)
         } else if OP == OP_SUB {
@@ -1476,16 +1474,15 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8>(
 
 /// Ternary (fma) batch driver; same structure as [`bin_driver`].
 #[inline(always)]
-#[allow(clippy::needless_range_loop, clippy::type_complexity)]
+#[allow(clippy::needless_range_loop)]
 fn fma_driver<W: Words, const E: u32, const F: u32>(
-    n: usize,
-    load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
-    load_one: impl Fn(usize) -> (u64, u64, u64),
+    triples: &[(u64, u64, u64)],
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
     specials: &mut Vec<u32>,
 ) {
     let rtn = mode == RoundMode::NearestEven;
+    let n = triples.len();
     let full = n - n % LANES;
     out.reserve(n);
     let mut i = 0;
@@ -1493,7 +1490,11 @@ fn fma_driver<W: Words, const E: u32, const F: u32>(
         let mut xs = [0u64; LANES];
         let mut ys = [0u64; LANES];
         let mut zs = [0u64; LANES];
-        load_chunk(i, &mut xs, &mut ys, &mut zs);
+        for (l, &(x, y, z)) in triples[i..i + LANES].iter().enumerate() {
+            xs[l] = x;
+            ys[l] = y;
+            zs[l] = z;
+        }
         // SAFETY: as in `bin_driver` — the engine was runtime-detected
         // and the interleaved store targets reserved capacity.
         let (all, nbits) = unsafe {
@@ -1531,8 +1532,7 @@ fn fma_driver<W: Words, const E: u32, const F: u32>(
         }
         i += LANES;
     }
-    for j in full..n {
-        let (x, y, z) = load_one(j);
+    for &(x, y, z) in &triples[full..] {
         out.push(fastpath::fma::<E, F>(x, y, z, mode));
     }
 }
@@ -1618,63 +1618,51 @@ mod engine {
     // SAFETY: callers pass `WideAvx2`, which is only in
     // `available_engines()` after `avx2_available()` detected AVX2.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn bin_driver_tf<const E: u32, const F: u32, const OP: u8>(
-        n: usize,
-        load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
-        load_one: impl Fn(usize) -> (u64, u64),
+        pairs: &[(u64, u64)],
         mode: RoundMode,
         out: &mut Vec<(u64, Flags)>,
         specials: &mut Vec<u32>,
     ) {
-        super::bin_driver::<W2, E, F, OP>(n, load_chunk, load_one, mode, out, specials)
+        super::bin_driver::<W2, E, F, OP>(pairs, mode, out, specials)
     }
 
     // SAFETY: callers pass `WideAvx2`, which is only in
     // `available_engines()` after `avx2_available()` detected AVX2.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn fma_driver_tf<const E: u32, const F: u32>(
-        n: usize,
-        load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
-        load_one: impl Fn(usize) -> (u64, u64, u64),
+        triples: &[(u64, u64, u64)],
         mode: RoundMode,
         out: &mut Vec<(u64, Flags)>,
         specials: &mut Vec<u32>,
     ) {
-        super::fma_driver::<W2, E, F>(n, load_chunk, load_one, mode, out, specials)
+        super::fma_driver::<W2, E, F>(triples, mode, out, specials)
     }
 
     // SAFETY: callers pass `WideAvx512`, which is only in
     // `available_engines()` after `avx512_available()` detected the
     // whole AVX-512 feature set enabled here.
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn bin_driver_512<const E: u32, const F: u32, const OP: u8>(
-        n: usize,
-        load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
-        load_one: impl Fn(usize) -> (u64, u64),
+        pairs: &[(u64, u64)],
         mode: RoundMode,
         out: &mut Vec<(u64, Flags)>,
         specials: &mut Vec<u32>,
     ) {
-        super::bin_driver::<W5, E, F, OP>(n, load_chunk, load_one, mode, out, specials)
+        super::bin_driver::<W5, E, F, OP>(pairs, mode, out, specials)
     }
 
     // SAFETY: callers pass `WideAvx512`, which is only in
     // `available_engines()` after `avx512_available()` detected the
     // whole AVX-512 feature set enabled here.
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn fma_driver_512<const E: u32, const F: u32>(
-        n: usize,
-        load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
-        load_one: impl Fn(usize) -> (u64, u64, u64),
+        triples: &[(u64, u64, u64)],
         mode: RoundMode,
         out: &mut Vec<(u64, Flags)>,
         specials: &mut Vec<u32>,
     ) {
-        super::fma_driver::<W5, E, F>(n, load_chunk, load_one, mode, out, specials)
+        super::fma_driver::<W5, E, F>(triples, mode, out, specials)
     }
 
     // SAFETY: callers pass `WideAvx2`, which is only in
@@ -1752,36 +1740,30 @@ fn no_wide_engine<A, T>(_args: A) -> T {
     unreachable!("wide dispatch requires an available intrinsics engine")
 }
 
-/// Run a binary batch on an explicit engine and fix up the special lanes
-/// through the generic path, in index order.
+/// The named lane `fmt` runs on under `eng`, or `None` when the batch
+/// belongs on the scalar lane (the scalar engine or a dynamic format).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn run_bin<const OP: u8>(
+pub(crate) fn wide_lane(eng: SimdEngine, fmt: FpFormat) -> Option<Lane> {
+    let lane = lane_of(fmt);
+    (eng != SimdEngine::Scalar && !matches!(lane, Lane::Dyn)).then_some(lane)
+}
+
+/// Run a binary batch on an intrinsics engine and fix up the special
+/// lanes through the generic path, in index order.
+#[inline(always)]
+pub(crate) fn run_bin<const OP: u8>(
     eng: SimdEngine,
     lane: Lane,
     fmt: FpFormat,
-    n: usize,
-    load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
-    load_one: impl Fn(usize) -> (u64, u64),
+    pairs: &[(u64, u64)],
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
     let base = out.len();
     let mut specials: Vec<u32> = Vec::new();
-    wide_dispatch!(
-        bin,
-        eng,
-        lane,
-        OP,
-        n,
-        &load_chunk,
-        &load_one,
-        mode,
-        out,
-        &mut specials
-    );
+    wide_dispatch!(bin, eng, lane, OP, pairs, mode, out, &mut specials);
     for &j in &specials {
-        let (x, y) = load_one(j as usize);
+        let (x, y) = pairs[j as usize];
         out[base + j as usize] = if OP == OP_ADD {
             ops::add::add(fmt, x, y, mode)
         } else if OP == OP_SUB {
@@ -1792,210 +1774,100 @@ fn run_bin<const OP: u8>(
     }
 }
 
-/// Run an fma batch on an explicit engine with the generic fixup pass.
+/// Run an fma batch on an intrinsics engine with the generic fixup pass.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn run_fma(
+pub(crate) fn run_fma(
     eng: SimdEngine,
     lane: Lane,
     fmt: FpFormat,
-    n: usize,
-    load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
-    load_one: impl Fn(usize) -> (u64, u64, u64),
+    triples: &[(u64, u64, u64)],
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
     let base = out.len();
     let mut specials: Vec<u32> = Vec::new();
-    wide_dispatch!(
-        fma,
-        eng,
-        lane,
-        n,
-        &load_chunk,
-        &load_one,
-        mode,
-        out,
-        &mut specials
-    );
+    wide_dispatch!(fma, eng, lane, triples, mode, out, &mut specials);
     for &j in &specials {
-        let (x, y, z) = load_one(j as usize);
+        let (x, y, z) = triples[j as usize];
         out[base + j as usize] = ops::fma::fma(fmt, x, y, z, mode);
     }
+}
+
+/// Run a MAC column pass on an intrinsics engine (shape already checked).
+#[allow(clippy::too_many_arguments)] // the kernel's operands plus engine and lane
+pub(crate) fn run_mac(
+    eng: SimdEngine,
+    lane: Lane,
+    a_t: &[u64],
+    stride: usize,
+    rows: usize,
+    b: &[u64],
+    c: &mut [u64],
+    mode: RoundMode,
+) -> Flags {
+    wide_dispatch!(mac, eng, lane, a_t, stride, rows, b, c, mode)
 }
 
 // ---------------------------------------------------------------------------
 // Engine-explicit public batch API (benches, equivalence tests)
 // ---------------------------------------------------------------------------
+//
+// Each entry runs the same engine-parameterized function as its policy
+// twin in `fastpath`, on the engine the caller pins.
 
-#[inline(always)]
-fn slices_chunk<'s>(
-    a: &'s [u64],
-    b: &'s [u64],
-) -> impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]) + 's {
-    move |i, xs, ys| {
-        xs.copy_from_slice(&a[i..i + LANES]);
-        ys.copy_from_slice(&b[i..i + LANES]);
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::needless_range_loop)]
-fn pairs_chunk(pairs: &[(u64, u64)]) -> impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]) + '_ {
-    move |i, xs, ys| {
-        for l in 0..LANES {
-            let (x, y) = pairs[i + l];
-            xs[l] = x;
-            ys[l] = y;
-        }
-    }
-}
-
-/// Batched `a[i] + b[i]` on an explicit engine (lengths must match; wide
-/// engines fall back to the scalar lane only when `fmt` is dynamic).
+/// [`fastpath::add_pairs_batch`] on an explicit engine.
 ///
 /// # Panics
 /// When `eng` is not in [`available_engines`] (the same holds for every
-/// `*_with` entry point) or the lengths differ.
-pub fn add_bits_batch_with(
+/// `*_with` entry point).
+pub fn add_pairs_batch_with(
     eng: SimdEngine,
     fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
+    pairs: &[(u64, u64)],
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
     assert_available(eng);
-    assert_eq!(a.len(), b.len(), "{}", fastpath::LEN_MISMATCH);
-    out.reserve(a.len());
-    let lane = lane_of(fmt);
-    if eng == SimdEngine::Scalar || matches!(lane, Lane::Dyn) {
-        out.extend(
-            a.iter()
-                .zip(b)
-                .map(|(&x, &y)| fastpath::add_bits(fmt, x, y, mode)),
-        );
-        return;
-    }
-    run_bin::<OP_ADD>(
-        eng,
-        lane,
-        fmt,
-        a.len(),
-        slices_chunk(a, b),
-        |i| (a[i], b[i]),
-        mode,
-        out,
-    );
+    fastpath::pairs_batch_on::<OP_ADD>(eng, fmt, pairs, mode, out);
 }
 
-/// Batched `a[i] - b[i]` on an explicit engine.
-pub fn sub_bits_batch_with(
+/// [`fastpath::sub_pairs_batch`] on an explicit engine.
+pub fn sub_pairs_batch_with(
     eng: SimdEngine,
     fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
+    pairs: &[(u64, u64)],
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
     assert_available(eng);
-    assert_eq!(a.len(), b.len(), "{}", fastpath::LEN_MISMATCH);
-    out.reserve(a.len());
-    let lane = lane_of(fmt);
-    if eng == SimdEngine::Scalar || matches!(lane, Lane::Dyn) {
-        out.extend(
-            a.iter()
-                .zip(b)
-                .map(|(&x, &y)| fastpath::sub_bits(fmt, x, y, mode)),
-        );
-        return;
-    }
-    run_bin::<OP_SUB>(
-        eng,
-        lane,
-        fmt,
-        a.len(),
-        slices_chunk(a, b),
-        |i| (a[i], b[i]),
-        mode,
-        out,
-    );
+    fastpath::pairs_batch_on::<OP_SUB>(eng, fmt, pairs, mode, out);
 }
 
-/// Batched `a[i] * b[i]` on an explicit engine.
-pub fn mul_bits_batch_with(
+/// [`fastpath::mul_pairs_batch`] on an explicit engine.
+pub fn mul_pairs_batch_with(
     eng: SimdEngine,
     fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
+    pairs: &[(u64, u64)],
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
     assert_available(eng);
-    assert_eq!(a.len(), b.len(), "{}", fastpath::LEN_MISMATCH);
-    out.reserve(a.len());
-    let lane = lane_of(fmt);
-    if eng == SimdEngine::Scalar || matches!(lane, Lane::Dyn) {
-        out.extend(
-            a.iter()
-                .zip(b)
-                .map(|(&x, &y)| fastpath::mul_bits(fmt, x, y, mode)),
-        );
-        return;
-    }
-    run_bin::<OP_MUL>(
-        eng,
-        lane,
-        fmt,
-        a.len(),
-        slices_chunk(a, b),
-        |i| (a[i], b[i]),
-        mode,
-        out,
-    );
+    fastpath::pairs_batch_on::<OP_MUL>(eng, fmt, pairs, mode, out);
 }
 
-/// Batched `a[i]·b[i] + c[i]` on an explicit engine.
-pub fn fma_bits_batch_with(
+/// [`fastpath::fma_triples_batch`] on an explicit engine.
+pub fn fma_triples_batch_with(
     eng: SimdEngine,
     fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
-    c: &[u64],
+    triples: &[(u64, u64, u64)],
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
     assert_available(eng);
-    assert_eq!(a.len(), b.len(), "{}", fastpath::LEN_MISMATCH);
-    assert_eq!(a.len(), c.len(), "{}", fastpath::LEN_MISMATCH);
-    out.reserve(a.len());
-    let lane = lane_of(fmt);
-    if eng == SimdEngine::Scalar || matches!(lane, Lane::Dyn) {
-        out.extend(
-            a.iter()
-                .zip(b.iter().zip(c))
-                .map(|(&x, (&y, &z))| fastpath::fma_bits(fmt, x, y, z, mode)),
-        );
-        return;
-    }
-    run_fma(
-        eng,
-        lane,
-        fmt,
-        a.len(),
-        |i, xs, ys, zs| {
-            xs.copy_from_slice(&a[i..i + LANES]);
-            ys.copy_from_slice(&b[i..i + LANES]);
-            zs.copy_from_slice(&c[i..i + LANES]);
-        },
-        |i| (a[i], b[i], c[i]),
-        mode,
-        out,
-    );
+    fastpath::fma_triples_batch_on(eng, fmt, triples, mode, out);
 }
 
-/// [`fastpath::mac_column`] on an explicit engine (the scalar engine and
-/// dynamic formats run the scalar twin).
+/// [`fastpath::mac_column`] on an explicit engine.
 ///
 /// # Panics
 /// When `eng` is not in [`available_engines`], and as
@@ -2012,318 +1884,59 @@ pub fn mac_column_with(
     mode: RoundMode,
 ) -> Flags {
     assert_available(eng);
-    fastpath::check_mac_shape(a_t.len(), stride, rows, b.len(), c.len());
-    let lane = lane_of(fmt);
-    if eng == SimdEngine::Scalar || matches!(lane, Lane::Dyn) {
-        return fastpath::mac_column_scalar(fmt, a_t, stride, rows, b, c, mode);
-    }
-    wide_dispatch!(mac, eng, lane, a_t, stride, rows, b, c, mode)
-}
-
-// ---------------------------------------------------------------------------
-// Policy-resolved hooks for the fastpath batch entry points
-// ---------------------------------------------------------------------------
-//
-// Each returns `false` (leaving `out` untouched) when the scalar lane
-// should run: scalar policy resolution or a dynamic format.
-
-macro_rules! try_hook_pre {
-    ($fmt:expr) => {{
-        let Some(eng) = wide_engine() else {
-            return false;
-        };
-        let lane = lane_of($fmt);
-        if matches!(lane, Lane::Dyn) {
-            return false;
-        }
-        (eng, lane)
-    }};
-}
-
-pub(crate) fn try_add_bits_batch(
-    fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) -> bool {
-    let (eng, lane) = try_hook_pre!(fmt);
-    run_bin::<OP_ADD>(
-        eng,
-        lane,
-        fmt,
-        a.len(),
-        slices_chunk(a, b),
-        |i| (a[i], b[i]),
-        mode,
-        out,
-    );
-    true
-}
-
-pub(crate) fn try_sub_bits_batch(
-    fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) -> bool {
-    let (eng, lane) = try_hook_pre!(fmt);
-    run_bin::<OP_SUB>(
-        eng,
-        lane,
-        fmt,
-        a.len(),
-        slices_chunk(a, b),
-        |i| (a[i], b[i]),
-        mode,
-        out,
-    );
-    true
-}
-
-pub(crate) fn try_mul_bits_batch(
-    fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) -> bool {
-    let (eng, lane) = try_hook_pre!(fmt);
-    run_bin::<OP_MUL>(
-        eng,
-        lane,
-        fmt,
-        a.len(),
-        slices_chunk(a, b),
-        |i| (a[i], b[i]),
-        mode,
-        out,
-    );
-    true
-}
-
-pub(crate) fn try_fma_bits_batch(
-    fmt: FpFormat,
-    a: &[u64],
-    b: &[u64],
-    c: &[u64],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) -> bool {
-    let (eng, lane) = try_hook_pre!(fmt);
-    run_fma(
-        eng,
-        lane,
-        fmt,
-        a.len(),
-        |i, xs, ys, zs| {
-            xs.copy_from_slice(&a[i..i + LANES]);
-            ys.copy_from_slice(&b[i..i + LANES]);
-            zs.copy_from_slice(&c[i..i + LANES]);
-        },
-        |i| (a[i], b[i], c[i]),
-        mode,
-        out,
-    );
-    true
-}
-
-pub(crate) fn try_add_pairs_batch(
-    fmt: FpFormat,
-    pairs: &[(u64, u64)],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) -> bool {
-    let (eng, lane) = try_hook_pre!(fmt);
-    run_bin::<OP_ADD>(
-        eng,
-        lane,
-        fmt,
-        pairs.len(),
-        pairs_chunk(pairs),
-        |i| pairs[i],
-        mode,
-        out,
-    );
-    true
-}
-
-pub(crate) fn try_sub_pairs_batch(
-    fmt: FpFormat,
-    pairs: &[(u64, u64)],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) -> bool {
-    let (eng, lane) = try_hook_pre!(fmt);
-    run_bin::<OP_SUB>(
-        eng,
-        lane,
-        fmt,
-        pairs.len(),
-        pairs_chunk(pairs),
-        |i| pairs[i],
-        mode,
-        out,
-    );
-    true
-}
-
-pub(crate) fn try_mul_pairs_batch(
-    fmt: FpFormat,
-    pairs: &[(u64, u64)],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) -> bool {
-    let (eng, lane) = try_hook_pre!(fmt);
-    run_bin::<OP_MUL>(
-        eng,
-        lane,
-        fmt,
-        pairs.len(),
-        pairs_chunk(pairs),
-        |i| pairs[i],
-        mode,
-        out,
-    );
-    true
-}
-
-pub(crate) fn try_fma_triples_batch(
-    fmt: FpFormat,
-    triples: &[(u64, u64, u64)],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) -> bool {
-    let (eng, lane) = try_hook_pre!(fmt);
-    run_fma(
-        eng,
-        lane,
-        fmt,
-        triples.len(),
-        |i, xs, ys, zs| {
-            #[allow(clippy::needless_range_loop)]
-            for l in 0..LANES {
-                let (x, y, z) = triples[i + l];
-                xs[l] = x;
-                ys[l] = y;
-                zs[l] = z;
-            }
-        },
-        |i| triples[i],
-        mode,
-        out,
-    );
-    true
-}
-
-pub(crate) fn try_mul_bcast_batch(
-    fmt: FpFormat,
-    a: &[u64],
-    b: u64,
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) -> bool {
-    let (eng, lane) = try_hook_pre!(fmt);
-    run_bin::<OP_MUL>(
-        eng,
-        lane,
-        fmt,
-        a.len(),
-        |i, xs, ys| {
-            xs.copy_from_slice(&a[i..i + LANES]);
-            *ys = [b; LANES];
-        },
-        |i| (a[i], b),
-        mode,
-        out,
-    );
-    true
-}
-
-/// Policy-resolved [`fastpath::mac_column`]: `None` when the scalar twin
-/// should run (shape already checked by the caller).
-pub(crate) fn try_mac_column(
-    fmt: FpFormat,
-    a_t: &[u64],
-    stride: usize,
-    rows: usize,
-    b: &[u64],
-    c: &mut [u64],
-    mode: RoundMode,
-) -> Option<Flags> {
-    let eng = wide_engine()?;
-    let lane = lane_of(fmt);
-    if matches!(lane, Lane::Dyn) {
-        return None;
-    }
-    Some(wide_dispatch!(
-        mac, eng, lane, a_t, stride, rows, b, c, mode
-    ))
+    fastpath::mac_column_on(eng, fmt, a_t, stride, rows, b, c, mode)
 }
 
 // ---------------------------------------------------------------------------
 // Single-case dispatchers (the conformance harness's eval hooks)
 // ---------------------------------------------------------------------------
 //
-// These run one case through the *real* batch machinery (an 8-lane
-// broadcast through the active engine, classify pass included), so a
-// forced-wide conformance sweep checks the code production batches
-// execute, not a scalar stand-in. The scalar engine and dynamic formats
-// fall back to the fastpath scalar dispatchers directly.
+// These run one case as a [`LANES`]-wide broadcast batch through the
+// active engine's batch path: a wide engine runs its vector pass and
+// classify fixup, the scalar engine its scalar batch loop. So a
+// conformance sweep through them checks the code production batches
+// execute, not a scalar stand-in.
 
 thread_local! {
     static ONE_SHOT: std::cell::RefCell<Vec<(u64, Flags)>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-macro_rules! one_shot_bin {
-    ($op:ident, $fast:ident, $fmt:expr, $a:expr, $b:expr, $mode:expr) => {{
-        if wide_engine().is_none() || matches!(lane_of($fmt), Lane::Dyn) {
-            return fastpath::$fast($fmt, $a, $b, $mode);
-        }
-        ONE_SHOT.with(|cell| {
-            let mut out = cell.borrow_mut();
-            out.clear();
-            let aa = [$a; LANES];
-            let bb = [$b; LANES];
-            let ran = $op($fmt, &aa, &bb, $mode, &mut out);
-            debug_assert!(ran);
-            out[0]
-        })
-    }};
-}
-
-/// One `a + b` through the active engine (wide engines run the real
-/// broadcast batch path; scalar runs the fast lane).
-pub fn add_bits(fmt: FpFormat, a: u64, b: u64, mode: RoundMode) -> (u64, Flags) {
-    one_shot_bin!(try_add_bits_batch, add_bits, fmt, a, b, mode)
-}
-
-/// One `a - b` through the active engine.
-pub fn sub_bits(fmt: FpFormat, a: u64, b: u64, mode: RoundMode) -> (u64, Flags) {
-    one_shot_bin!(try_sub_bits_batch, sub_bits, fmt, a, b, mode)
-}
-
-/// One `a * b` through the active engine.
-pub fn mul_bits(fmt: FpFormat, a: u64, b: u64, mode: RoundMode) -> (u64, Flags) {
-    one_shot_bin!(try_mul_bits_batch, mul_bits, fmt, a, b, mode)
-}
-
-/// One `a·b + c` through the active engine.
-pub fn fma_bits(fmt: FpFormat, a: u64, b: u64, c: u64, mode: RoundMode) -> (u64, Flags) {
-    if wide_engine().is_none() || matches!(lane_of(fmt), Lane::Dyn) {
-        return fastpath::fma_bits(fmt, a, b, c, mode);
-    }
+/// Run `batch` into this thread's reusable buffer; its first result.
+fn one_shot(batch: impl FnOnce(&mut Vec<(u64, Flags)>)) -> (u64, Flags) {
     ONE_SHOT.with(|cell| {
         let mut out = cell.borrow_mut();
         out.clear();
-        let aa = [a; LANES];
-        let bb = [b; LANES];
-        let cc = [c; LANES];
-        let ran = try_fma_bits_batch(fmt, &aa, &bb, &cc, mode, &mut out);
-        debug_assert!(ran);
+        batch(&mut out);
         out[0]
+    })
+}
+
+/// One `a + b` through the active engine's batch path.
+pub fn add_bits(fmt: FpFormat, a: u64, b: u64, mode: RoundMode) -> (u64, Flags) {
+    one_shot(|out| {
+        fastpath::pairs_batch_on::<OP_ADD>(active_engine(), fmt, &[(a, b); LANES], mode, out)
+    })
+}
+
+/// One `a - b` through the active engine's batch path.
+pub fn sub_bits(fmt: FpFormat, a: u64, b: u64, mode: RoundMode) -> (u64, Flags) {
+    one_shot(|out| {
+        fastpath::pairs_batch_on::<OP_SUB>(active_engine(), fmt, &[(a, b); LANES], mode, out)
+    })
+}
+
+/// One `a * b` through the active engine's batch path.
+pub fn mul_bits(fmt: FpFormat, a: u64, b: u64, mode: RoundMode) -> (u64, Flags) {
+    one_shot(|out| {
+        fastpath::pairs_batch_on::<OP_MUL>(active_engine(), fmt, &[(a, b); LANES], mode, out)
+    })
+}
+
+/// One `a·b + c` through the active engine's batch path.
+pub fn fma_bits(fmt: FpFormat, a: u64, b: u64, c: u64, mode: RoundMode) -> (u64, Flags) {
+    one_shot(|out| {
+        fastpath::fma_triples_batch_on(active_engine(), fmt, &[(a, b, c); LANES], mode, out)
     })
 }
 
@@ -2369,33 +1982,26 @@ mod tests {
         for fmt in FORMATS {
             let vals = probe_values(fmt);
             let n = vals.len();
-            let a: Vec<u64> = (0..n * n).map(|i| vals[i / n]).collect();
-            let b: Vec<u64> = (0..n * n).map(|i| vals[i % n]).collect();
+            let pairs: Vec<(u64, u64)> = (0..n * n).map(|i| (vals[i / n], vals[i % n])).collect();
             for mode in MODES {
-                let expect_add: Vec<_> = a
-                    .iter()
-                    .zip(&b)
-                    .map(|(&x, &y)| ops::add::add(fmt, x, y, mode))
-                    .collect();
-                let expect_sub: Vec<_> = a
-                    .iter()
-                    .zip(&b)
-                    .map(|(&x, &y)| ops::add::sub(fmt, x, y, mode))
-                    .collect();
-                let expect_mul: Vec<_> = a
-                    .iter()
-                    .zip(&b)
-                    .map(|(&x, &y)| ops::mul::mul(fmt, x, y, mode))
-                    .collect();
+                let expect = |op: fn(FpFormat, u64, u64, RoundMode) -> (u64, Flags)| {
+                    pairs
+                        .iter()
+                        .map(|&(x, y)| op(fmt, x, y, mode))
+                        .collect::<Vec<_>>()
+                };
+                let expect_add = expect(ops::add::add);
+                let expect_sub = expect(ops::add::sub);
+                let expect_mul = expect(ops::mul::mul);
                 for &eng in available_engines() {
                     let mut got = Vec::new();
-                    add_bits_batch_with(eng, fmt, &a, &b, mode, &mut got);
+                    add_pairs_batch_with(eng, fmt, &pairs, mode, &mut got);
                     assert_eq!(got, expect_add, "add {fmt:?} {mode:?} {eng:?}");
                     got.clear();
-                    sub_bits_batch_with(eng, fmt, &a, &b, mode, &mut got);
+                    sub_pairs_batch_with(eng, fmt, &pairs, mode, &mut got);
                     assert_eq!(got, expect_sub, "sub {fmt:?} {mode:?} {eng:?}");
                     got.clear();
-                    mul_bits_batch_with(eng, fmt, &a, &b, mode, &mut got);
+                    mul_pairs_batch_with(eng, fmt, &pairs, mode, &mut got);
                     assert_eq!(got, expect_mul, "mul {fmt:?} {mode:?} {eng:?}");
                 }
             }
@@ -2407,26 +2013,22 @@ mod tests {
         for fmt in FORMATS {
             let vals = probe_values(fmt);
             let thin: Vec<u64> = vals.iter().step_by(4).copied().collect();
-            let n = thin.len();
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            let mut c = Vec::new();
-            for i in 0..n {
-                for j in 0..n {
-                    for k in 0..n {
-                        a.push(thin[i]);
-                        b.push(thin[j]);
-                        c.push(thin[k]);
+            let mut triples = Vec::new();
+            for &x in &thin {
+                for &y in &thin {
+                    for &z in &thin {
+                        triples.push((x, y, z));
                     }
                 }
             }
             for mode in MODES {
-                let expect: Vec<_> = (0..a.len())
-                    .map(|i| ops::fma::fma(fmt, a[i], b[i], c[i], mode))
+                let expect: Vec<_> = triples
+                    .iter()
+                    .map(|&(x, y, z)| ops::fma::fma(fmt, x, y, z, mode))
                     .collect();
                 for &eng in available_engines() {
                     let mut got = Vec::new();
-                    fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut got);
+                    fma_triples_batch_with(eng, fmt, &triples, mode, &mut got);
                     assert_eq!(got, expect, "fma {fmt:?} {mode:?} {eng:?}");
                 }
             }
@@ -2496,78 +2098,6 @@ mod tests {
                     "({hi:#x},{lo:#x}) >> {n}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn pairs_and_bcast_and_triples_match_slices() {
-        let fmt = FpFormat::DOUBLE;
-        let vals = probe_values(fmt);
-        let a: Vec<u64> = vals.clone();
-        let b: Vec<u64> = vals.iter().rev().copied().collect();
-        let pairs: Vec<(u64, u64)> = a.iter().zip(&b).map(|(&x, &y)| (x, y)).collect();
-        let triples: Vec<(u64, u64, u64)> =
-            a.iter().zip(&b).map(|(&x, &y)| (x, y, x ^ 1)).collect();
-        let c: Vec<u64> = a.iter().map(|&x| x ^ 1).collect();
-        let mode = RoundMode::NearestEven;
-        for &eng in available_engines() {
-            if eng == SimdEngine::Scalar {
-                continue;
-            }
-            let (mut s1, mut s2) = (Vec::new(), Vec::new());
-            add_bits_batch_with(eng, fmt, &a, &b, mode, &mut s1);
-            let lane = lane_of(fmt);
-            run_bin::<OP_ADD>(
-                eng,
-                lane,
-                fmt,
-                pairs.len(),
-                pairs_chunk(&pairs),
-                |i| pairs[i],
-                mode,
-                &mut s2,
-            );
-            assert_eq!(s1, s2, "pairs {eng:?}");
-
-            let (mut m1, mut m2) = (Vec::new(), Vec::new());
-            let bb: Vec<u64> = vec![b[3]; a.len()];
-            mul_bits_batch_with(eng, fmt, &a, &bb, mode, &mut m1);
-            run_bin::<OP_MUL>(
-                eng,
-                lane,
-                fmt,
-                a.len(),
-                |i, xs, ys| {
-                    xs.copy_from_slice(&a[i..i + LANES]);
-                    *ys = [b[3]; LANES];
-                },
-                |i| (a[i], b[3]),
-                mode,
-                &mut m2,
-            );
-            assert_eq!(m1, m2, "bcast {eng:?}");
-
-            let (mut f1, mut f2) = (Vec::new(), Vec::new());
-            fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut f1);
-            run_fma(
-                eng,
-                lane,
-                fmt,
-                triples.len(),
-                |i, xs, ys, zs| {
-                    #[allow(clippy::needless_range_loop)]
-                    for l in 0..LANES {
-                        let (x, y, z) = triples[i + l];
-                        xs[l] = x;
-                        ys[l] = y;
-                        zs[l] = z;
-                    }
-                },
-                |i| triples[i],
-                mode,
-                &mut f2,
-            );
-            assert_eq!(f1, f2, "triples {eng:?}");
         }
     }
 

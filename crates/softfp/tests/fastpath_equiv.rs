@@ -104,14 +104,14 @@ proptest! {
     fn batch_matches_scalar(fmt in any_format(), raw in proptest::collection::vec(any::<u64>(), 0..64),
                             mode in any_mode()) {
         let vals: Vec<u64> = raw.iter().map(|&x| x & fmt.enc_mask()).collect();
-        let rev: Vec<u64> = vals.iter().rev().copied().collect();
+        let pairs: Vec<(u64, u64)> = vals.iter().copied().zip(vals.iter().rev().copied()).collect();
         let mut out = Vec::new();
-        fastpath::add_bits_batch(fmt, &vals, &rev, mode, &mut out);
-        fastpath::mul_bits_batch(fmt, &vals, &rev, mode, &mut out);
-        prop_assert_eq!(out.len(), 2 * vals.len());
-        for i in 0..vals.len() {
-            prop_assert_eq!(out[i], fastpath::add_bits(fmt, vals[i], rev[i], mode));
-            prop_assert_eq!(out[vals.len() + i], fastpath::mul_bits(fmt, vals[i], rev[i], mode));
+        fastpath::add_pairs_batch(fmt, &pairs, mode, &mut out);
+        fastpath::mul_pairs_batch(fmt, &pairs, mode, &mut out);
+        prop_assert_eq!(out.len(), 2 * pairs.len());
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            prop_assert_eq!(out[i], fastpath::add_bits(fmt, a, b, mode));
+            prop_assert_eq!(out[pairs.len() + i], fastpath::mul_bits(fmt, a, b, mode));
         }
     }
 }

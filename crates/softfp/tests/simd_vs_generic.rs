@@ -2,10 +2,11 @@
 //! generic `unpacked` dispatchers — result encodings *and* exception
 //! flags — at special-operand densities of 0%, ~5% and 100%, on the
 //! paper's three precisions. The suite pins the engine explicitly
-//! through the `*_bits_batch_with` entry points (no global-policy
-//! races between test threads) and checks partition-order stability:
-//! the classify-then-partition driver must scatter special-lane results
-//! back into their original batch positions.
+//! through the `*_pairs_batch_with`/`fma_triples_batch_with` entry
+//! points (no global-policy races between test threads) and checks
+//! partition-order stability: the classify-then-partition driver must
+//! scatter special-lane results back into their original batch
+//! positions, after whatever `out` already held.
 //!
 //! The fused MAC column pass (`fastpath::mac_column`) gets the same
 //! treatment against a reference loop of generic `mul_bits` then
@@ -61,46 +62,48 @@ fn raw_batch() -> impl Strategy<Value = RawBatch> {
 
 /// Check one (engine, density) cell for every binary op plus fma:
 /// the batch output must equal the generic scalar dispatchers,
-/// element for element, in original input order.
+/// element for element, in original input order. Every batch appends
+/// to a non-empty `out`, whose prefix must survive untouched (the
+/// fixup pass writes at an offset from it).
 fn check_density(fmt: FpFormat, mode: RoundMode, raw: &RawBatch, density_pct: u16) {
-    let a: Vec<u64> = raw
+    let triples: Vec<(u64, u64, u64)> = raw
         .iter()
-        .map(|&(x, _, _, s)| encode(fmt, x, s, density_pct))
+        .map(|&(x, y, z, s)| {
+            (
+                encode(fmt, x, s, density_pct),
+                encode(fmt, y, s.wrapping_add(7), density_pct),
+                encode(fmt, z, s.wrapping_add(31), density_pct),
+            )
+        })
         .collect();
-    let b: Vec<u64> = raw
-        .iter()
-        .map(|&(_, y, _, s)| encode(fmt, y, s.wrapping_add(7), density_pct))
-        .collect();
-    let c: Vec<u64> = raw
-        .iter()
-        .map(|&(_, _, z, s)| encode(fmt, z, s.wrapping_add(31), density_pct))
-        .collect();
+    let pairs: Vec<(u64, u64)> = triples.iter().map(|&(x, y, _)| (x, y)).collect();
+    let prefix = vec![(0xdead_beef, Flags::NONE); 1 + raw.len() % 9];
 
-    let want_add: Vec<(u64, Flags)> = (0..a.len())
-        .map(|i| add_bits(fmt, a[i], b[i], mode))
-        .collect();
-    let want_sub: Vec<(u64, Flags)> = (0..a.len())
-        .map(|i| sub_bits(fmt, a[i], b[i], mode))
-        .collect();
-    let want_mul: Vec<(u64, Flags)> = (0..a.len())
-        .map(|i| mul_bits(fmt, a[i], b[i], mode))
-        .collect();
-    let want_fma: Vec<(u64, Flags)> = (0..a.len())
-        .map(|i| fma_bits(fmt, a[i], b[i], c[i], mode))
-        .collect();
+    let want = |f: fn(FpFormat, u64, u64, RoundMode) -> (u64, Flags)| {
+        let mut want = prefix.clone();
+        want.extend(pairs.iter().map(|&(x, y)| f(fmt, x, y, mode)));
+        want
+    };
+    let (want_add, want_sub, want_mul) = (want(add_bits), want(sub_bits), want(mul_bits));
+    let mut want_fma = prefix.clone();
+    want_fma.extend(
+        triples
+            .iter()
+            .map(|&(x, y, z)| fma_bits(fmt, x, y, z, mode)),
+    );
 
     for &eng in simd::available_engines() {
-        let mut out = Vec::new();
-        simd::add_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
+        let mut out = prefix.clone();
+        simd::add_pairs_batch_with(eng, fmt, &pairs, mode, &mut out);
         assert_eq!(out, want_add, "{eng:?} add {fmt:?} {density_pct}%");
-        out.clear();
-        simd::sub_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
+        out.truncate(prefix.len());
+        simd::sub_pairs_batch_with(eng, fmt, &pairs, mode, &mut out);
         assert_eq!(out, want_sub, "{eng:?} sub {fmt:?} {density_pct}%");
-        out.clear();
-        simd::mul_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
+        out.truncate(prefix.len());
+        simd::mul_pairs_batch_with(eng, fmt, &pairs, mode, &mut out);
         assert_eq!(out, want_mul, "{eng:?} mul {fmt:?} {density_pct}%");
-        out.clear();
-        simd::fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut out);
+        out.truncate(prefix.len());
+        simd::fma_triples_batch_with(eng, fmt, &triples, mode, &mut out);
         assert_eq!(out, want_fma, "{eng:?} fma {fmt:?} {density_pct}%");
     }
 }
@@ -132,23 +135,28 @@ proptest! {
     }
 
     /// Engines also agree on arbitrary *raw* encodings (whatever mix of
-    /// normal/special that implies), including the one-shot dispatchers.
+    /// normal/special that implies), and so do all four one-shot
+    /// dispatchers under the active policy.
     #[test]
     fn raw_encodings_match_generic(fmt in any_fmt(), mode in any_mode(),
                                    raw in raw_batch()) {
-        let a: Vec<u64> = raw.iter().map(|&(x, ..)| x & fmt.enc_mask()).collect();
-        let b: Vec<u64> = raw.iter().map(|&(_, y, ..)| y & fmt.enc_mask()).collect();
+        let m = fmt.enc_mask();
+        let triples: Vec<(u64, u64, u64)> =
+            raw.iter().map(|&(x, y, z, _)| (x & m, y & m, z & m)).collect();
+        let pairs: Vec<(u64, u64)> = triples.iter().map(|&(x, y, _)| (x, y)).collect();
         for &eng in simd::available_engines() {
             let mut out = Vec::new();
-            simd::add_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
-            for i in 0..a.len() {
-                prop_assert_eq!(out[i], add_bits(fmt, a[i], b[i], mode),
+            simd::add_pairs_batch_with(eng, fmt, &pairs, mode, &mut out);
+            for (i, &(x, y)) in pairs.iter().enumerate() {
+                prop_assert_eq!(out[i], add_bits(fmt, x, y, mode),
                                 "{:?} add lane {}", eng, i);
             }
         }
-        if let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+        for &(x, y, z) in &triples {
             prop_assert_eq!(simd::add_bits(fmt, x, y, mode), add_bits(fmt, x, y, mode));
+            prop_assert_eq!(simd::sub_bits(fmt, x, y, mode), sub_bits(fmt, x, y, mode));
             prop_assert_eq!(simd::mul_bits(fmt, x, y, mode), mul_bits(fmt, x, y, mode));
+            prop_assert_eq!(simd::fma_bits(fmt, x, y, z, mode), fma_bits(fmt, x, y, z, mode));
         }
     }
 }
@@ -377,8 +385,8 @@ const ALL_ENGINES: [SimdEngine; 3] = [
     SimdEngine::WideAvx512,
 ];
 
-/// Signature shared by the binary `*_bits_batch_with` entry points.
-type BatchWith = fn(SimdEngine, FpFormat, &[u64], &[u64], RoundMode, &mut Vec<(u64, Flags)>);
+/// Signature shared by the binary `*_pairs_batch_with` entry points.
+type BatchWith = fn(SimdEngine, FpFormat, &[(u64, u64)], RoundMode, &mut Vec<(u64, Flags)>);
 
 /// The safe `*_with` entry points either run an engine and match the
 /// generic path, or panic before running it; which one happens must
@@ -390,18 +398,15 @@ fn refusal_follows_available_engines() {
     let mode = RoundMode::NearestEven;
     let mut seed = 0x5eed_u64;
     let mut op = || mac_operand(fmt, &mut seed, 5, true);
-    let a: Vec<u64> = (0..37).map(|_| op()).collect();
-    let b: Vec<u64> = (0..37).map(|_| op()).collect();
-    let c: Vec<u64> = (0..37).map(|_| op()).collect();
+    let triples: Vec<(u64, u64, u64)> = (0..37).map(|_| (op(), op(), op())).collect();
+    let pairs: Vec<(u64, u64)> = triples.iter().map(|&(x, y, _)| (x, y)).collect();
     let generic = |f: fn(FpFormat, u64, u64, RoundMode) -> (u64, Flags)| -> Vec<(u64, Flags)> {
-        a.iter()
-            .zip(&b)
-            .map(|(&x, &y)| f(fmt, x, y, mode))
-            .collect()
+        pairs.iter().map(|&(x, y)| f(fmt, x, y, mode)).collect()
     };
     let (want_add, want_sub, want_mul) = (generic(add_bits), generic(sub_bits), generic(mul_bits));
-    let want_fma: Vec<(u64, Flags)> = (0..a.len())
-        .map(|i| fma_bits(fmt, a[i], b[i], c[i], mode))
+    let want_fma: Vec<(u64, Flags)> = triples
+        .iter()
+        .map(|&(x, y, z)| fma_bits(fmt, x, y, z, mode))
         .collect();
     let mac = MacCase::draw(fmt, mode, 19, 6, 2, 5, false, 0xface);
     let want_mac = mac.reference();
@@ -429,15 +434,15 @@ fn refusal_follows_available_engines() {
         };
         let batch = |f: BatchWith, want: &Vec<(u64, Flags)>| {
             let mut out = Vec::new();
-            f(eng, fmt, &a, &b, mode, &mut out);
+            f(eng, fmt, &pairs, mode, &mut out);
             out == *want
         };
-        expect("add", &|| batch(simd::add_bits_batch_with, &want_add));
-        expect("sub", &|| batch(simd::sub_bits_batch_with, &want_sub));
-        expect("mul", &|| batch(simd::mul_bits_batch_with, &want_mul));
+        expect("add", &|| batch(simd::add_pairs_batch_with, &want_add));
+        expect("sub", &|| batch(simd::sub_pairs_batch_with, &want_sub));
+        expect("mul", &|| batch(simd::mul_pairs_batch_with, &want_mul));
         expect("fma", &|| {
             let mut out = Vec::new();
-            simd::fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut out);
+            simd::fma_triples_batch_with(eng, fmt, &triples, mode, &mut out);
             out == want_fma
         });
         expect("mac", &|| {
