@@ -6,6 +6,12 @@
 //! kernels clear 2× the generic scalar throughput on add and mul — is
 //! a hard assertion measured outside criterion's sampling.
 //!
+//! Another hard assertion gates the SIMD dispatch: batch add and mul
+//! on the engine `Auto` resolves to must clear 4× the
+//! [`SimdEngine::Scalar`] lane. It arms only when the active engine is
+//! a wide one; under `FPFPGA_SIMD=scalar` or on a host without AVX2 it
+//! prints a skip notice instead.
+//!
 //! A second set of lanes pins each `softfp::simd` engine explicitly
 //! (`add_simd_avx512`, `mul_simd_scalar`, …) through the
 //! `*_pairs_batch_with` entry points, so per-engine regressions show up
@@ -63,12 +69,52 @@ where
     (ta, tb)
 }
 
+/// The SIMD gate's bar: wide add/mul throughput over the scalar lane.
+const SIMD_GATE: f64 = 4.0;
+
+/// A `simd::*_pairs_batch_with` entry point.
+type PinnedPairs = fn(SimdEngine, FpFormat, &[(u64, u64)], RoundMode, &mut Vec<(u64, Flags)>);
+
+/// Best-window seconds of [`SimdEngine::Scalar`] and of `active` on one
+/// pairs op. Scalar is timed interleaved against each wide engine in
+/// turn and keeps its best window across those pairings.
+fn simd_times(
+    op: PinnedPairs,
+    fmt: FpFormat,
+    pairs: &[(u64, u64)],
+    active: SimdEngine,
+) -> (f64, f64) {
+    let (mut out, mut out_wide) = (Vec::with_capacity(N), Vec::with_capacity(N));
+    let run = |eng: SimdEngine, out: &mut Vec<(u64, Flags)>| {
+        out.clear();
+        op(eng, fmt, pairs, MODE, out);
+        out.len() as u64
+    };
+    let (mut t_scalar, mut t_active) = (f64::INFINITY, f64::INFINITY);
+    for &eng in &simd::available_engines()[1..] {
+        let (ts, tw) = paired_best_of(
+            9,
+            || run(SimdEngine::Scalar, &mut out),
+            || run(eng, &mut out_wide),
+        );
+        t_scalar = t_scalar.min(ts);
+        if eng == active {
+            t_active = tw;
+        }
+    }
+    (t_scalar, t_active)
+}
+
 fn bench_softfp_fastpath(c: &mut Criterion) {
     let formats = [
         ("f32", FpFormat::SINGLE),
         ("f48", FpFormat::FP48),
         ("f64", FpFormat::DOUBLE),
     ];
+    let active = simd::active_engine();
+    if active == SimdEngine::Scalar {
+        println!("softfp_fastpath: active SIMD engine is scalar; {SIMD_GATE}x wide gate skipped");
+    }
 
     for &(name, fmt) in &formats {
         let a = operands(fmt, 0x5eed ^ fmt.total_bits() as u64);
@@ -99,14 +145,20 @@ fn bench_softfp_fastpath(c: &mut Criterion) {
         // batch kernel must at least double the generic scalar
         // throughput for add and mul, single-threaded.
         let mut out: Vec<(u64, Flags)> = Vec::with_capacity(N);
-        for (op_name, generic, batched) in [
+        for (op_name, generic, batched, pinned) in [
             (
                 "add",
                 softfp::add_bits as fn(FpFormat, u64, u64, RoundMode) -> (u64, Flags),
                 fastpath::add_pairs_batch
                     as fn(FpFormat, &[(u64, u64)], RoundMode, &mut Vec<(u64, Flags)>),
+                simd::add_pairs_batch_with as PinnedPairs,
             ),
-            ("mul", softfp::mul_bits, fastpath::mul_pairs_batch),
+            (
+                "mul",
+                softfp::mul_bits,
+                fastpath::mul_pairs_batch,
+                simd::mul_pairs_batch_with,
+            ),
         ] {
             let measure = |out: &mut Vec<(u64, Flags)>| {
                 paired_best_of(
@@ -143,6 +195,30 @@ fn bench_softfp_fastpath(c: &mut Criterion) {
                 speedup >= 2.0,
                 "{name} {op_name}: fast-lane batch must clear 2x the generic scalar \
                  path, got {speedup:.2}x"
+            );
+
+            if active == SimdEngine::Scalar {
+                continue;
+            }
+            let (mut t_scalar, mut t_wide) = simd_times(pinned, fmt, &pairs, active);
+            if t_scalar / t_wide < SIMD_GATE {
+                // One re-measure before failing, as for the 2x gate.
+                println!(
+                    "softfp_fastpath {name} {op_name}: {:.2}x wide, re-measuring",
+                    t_scalar / t_wide
+                );
+                (t_scalar, t_wide) = simd_times(pinned, fmt, &pairs, active);
+            }
+            let speedup = t_scalar / t_wide;
+            println!(
+                "softfp_fastpath {name} {op_name}: scalar {:.1} Mop/s, {active:?} {:.1} Mop/s, {speedup:.2}x",
+                N as f64 / t_scalar / 1e6,
+                N as f64 / t_wide / 1e6,
+            );
+            assert!(
+                speedup >= SIMD_GATE,
+                "{name} {op_name}: {active:?} batch must clear {SIMD_GATE}x the scalar \
+                 SIMD lane, got {speedup:.2}x"
             );
         }
 

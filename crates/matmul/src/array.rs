@@ -3,7 +3,7 @@
 
 use crate::matrix::Matrix;
 use crate::pe::{PeStats, ProcessingElement, UnitBackend};
-use crate::schedule::{Schedule, Token};
+use crate::schedule::Token;
 use fpfpga_softfp::{Flags, FpFormat, RoundMode};
 
 /// A linear array of PEs computing `C = A·B` (with accumulation into
@@ -127,8 +127,10 @@ impl LinearArray {
     /// real data. Every other slot of the `b·max(b,PL)` issue window is
     /// a [`Token::pad`] zero-operation: it burns the pipes (charged by
     /// the energy model) but never reads `B`, writes `C` or raises
-    /// flags. No drain — block products chain, as in
-    /// [`LinearArray::stream_a_from_bank`].
+    /// flags. No drain: in-flight operations keep running, so
+    /// consecutive block products chain at full rate (accumulation stays
+    /// hazard-free because any two updates of the same `C` entry are at
+    /// least one padded period ≥ PL apart).
     pub fn stream_a_tile_from_bank(
         &mut self,
         a: &Matrix,
@@ -237,93 +239,8 @@ impl LinearArray {
     /// The inner period is padded to the combined MAC latency when
     /// `n < PL`, keeping the accumulation hazard-free.
     pub fn stream_a(&mut self, a: &Matrix) -> u64 {
-        let start = self.cycles;
-        self.stream_a_from_bank(a, false);
-        self.drain();
-        self.cycles - start
-    }
-
-    /// Issue one `A` stream against the `B` held in `bank`, *without*
-    /// draining — in-flight operations keep running, so consecutive
-    /// block products chain at full rate (accumulation stays hazard-free
-    /// because any two updates of the same `C` entry are at least one
-    /// padded period ≥ PL apart).
-    pub fn stream_a_from_bank(&mut self, a: &Matrix, bank: bool) -> u64 {
         let n = a.rows();
-        assert_eq!(a.cols(), n, "A must be square for this schedule");
-        assert!(
-            self.pes.iter().all(|pe| pe.n() == n),
-            "PE column height mismatch"
-        );
-        let start = self.cycles;
-        let sched = Schedule::new(n as u32, self.pl());
-        for mut token in sched.tokens() {
-            token.bank = bank;
-            if !token.pad {
-                token.a = a.get(token.i as usize, token.k as usize);
-            }
-            self.clock(Some(token));
-        }
-        self.cycles - start
-    }
-
-    /// [`LinearArray::stream_a`] through the PEs' batched fast path
-    /// ([`crate::pe::ProcessingElement::mac_column_pass`]): the delay
-    /// lines and token shift registers are bypassed, but the `C` matrix,
-    /// exception flags and activity statistics come out bit-identical to
-    /// per-cycle clocking, and the cycle count charged is exactly what
-    /// the per-cycle run (issue + drain) would consume.
-    pub fn stream_a_batched(&mut self, a: &Matrix) -> u64 {
-        let n = a.rows();
-        assert_eq!(a.cols(), n, "A must be square for this schedule");
-        assert!(
-            self.pes.iter().all(|pe| pe.n() == n),
-            "PE column height mismatch"
-        );
-        let sched = Schedule::new(n as u32, self.pl());
-        let pads_per_step = sched.padded_period() as u64 - n as u64;
-        self.transpose_a(a, n, n);
-        for pe in &mut self.pes {
-            pe.mac_column_pass(false, &self.a_t, n, n, n, pads_per_step);
-        }
-        let total = sched.issue_cycles() + self.pes.len() as u64 + self.pl() as u64 + 1;
-        self.cycles += total;
-        for pe in &mut self.pes {
-            pe.account_batched_cycles(total, sched.issue_cycles());
-        }
-        total
-    }
-
-    /// [`LinearArray::stream_a_batched`] fanned out over up to
-    /// `threads` scoped workers ([`fpfpga_fpu::parallel_chunks_mut`]):
-    /// every PE owns disjoint state (its `B` banks, `C` column, pipes,
-    /// flags and counters), so each worker runs the complete column pass
-    /// for its contiguous PE chunk and the result — values, flags, stats,
-    /// cycle accounting — is bit-identical for every thread count,
-    /// including `1` (inline) and `0` (one worker per CPU).
-    pub fn stream_a_batched_parallel(&mut self, a: &Matrix, threads: usize) -> u64 {
-        let n = a.rows();
-        assert_eq!(a.cols(), n, "A must be square for this schedule");
-        assert!(
-            self.pes.iter().all(|pe| pe.n() == n),
-            "PE column height mismatch"
-        );
-        let sched = Schedule::new(n as u32, self.pl());
-        let pads_per_step = sched.padded_period() as u64 - n as u64;
-        // Transpose once; all workers share the read-only k-major tile.
-        self.transpose_a(a, n, n);
-        let a_t = &self.a_t;
-        fpfpga_fpu::parallel_chunks_mut(threads, &mut self.pes, |_, chunk| {
-            for pe in chunk {
-                pe.mac_column_pass(false, a_t, n, n, n, pads_per_step);
-            }
-        });
-        let total = sched.issue_cycles() + self.pes.len() as u64 + self.pl() as u64 + 1;
-        self.cycles += total;
-        for pe in &mut self.pes {
-            pe.account_batched_cycles(total, sched.issue_cycles());
-        }
-        total
+        self.stream_a_tile_from_bank(a, n, n, false) + self.drain()
     }
 
     /// Drain the array: the last token must traverse all PEs and both
@@ -394,32 +311,8 @@ impl LinearArray {
         assert_eq!(b.cols(), n);
         let mut arr = LinearArray::new(fmt, mode, mult_stages, add_stages, n, n, backend);
         arr.load_b(false, b);
-        arr.stream_a_batched(a);
-        let c = arr.read_c();
-        (c, arr.stats())
-    }
-
-    /// [`LinearArray::multiply_batched`] with the k-loop fanned out
-    /// over `threads` workers — same result, flags and statistics at
-    /// every thread count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn multiply_batched_parallel(
-        fmt: FpFormat,
-        mode: RoundMode,
-        mult_stages: u32,
-        add_stages: u32,
-        a: &Matrix,
-        b: &Matrix,
-        backend: UnitBackend,
-        threads: usize,
-    ) -> (Matrix, ArrayStats) {
-        let n = a.rows();
-        assert_eq!(a.cols(), n);
-        assert_eq!(b.rows(), n);
-        assert_eq!(b.cols(), n);
-        let mut arr = LinearArray::new(fmt, mode, mult_stages, add_stages, n, n, backend);
-        arr.load_b(false, b);
-        arr.stream_a_batched_parallel(a, threads);
+        arr.stream_a_tile_batched(a, n, n, false);
+        arr.drain_batched();
         let c = arr.read_c();
         (c, arr.stats())
     }
@@ -456,6 +349,7 @@ impl LinearArray {
 mod tests {
     use super::*;
     use crate::reference::reference_matmul;
+    use crate::schedule::Schedule;
 
     const F: FpFormat = FpFormat::SINGLE;
     const RM: RoundMode = RoundMode::NearestEven;
@@ -555,49 +449,17 @@ mod tests {
 
     #[test]
     fn batched_stream_is_bit_identical_to_per_cycle() {
-        for (n, lm, la) in [(2usize, 3u32, 4u32), (5, 4, 5), (8, 9, 12), (12, 4, 5)] {
-            let a = sample(n, n as f64);
-            let b = sample(n, n as f64 + 0.5);
-            let (c_seq, s_seq) = LinearArray::multiply(F, RM, lm, la, &a, &b, UnitBackend::Fast);
-            let (c_bat, s_bat) =
-                LinearArray::multiply_batched(F, RM, lm, la, &a, &b, UnitBackend::Fast);
-            assert_eq!(c_seq, c_bat, "values n={n} lm={lm} la={la}");
-            assert_eq!(s_seq, s_bat, "stats n={n} lm={lm} la={la}");
-        }
-    }
-
-    #[test]
-    fn parallel_batched_is_thread_count_invariant() {
-        for n in [3usize, 8, 12] {
-            let a = sample(n, n as f64 + 0.25);
-            let b = sample(n, n as f64 + 0.75);
-            let (c_seq, s_seq) =
-                LinearArray::multiply_batched(F, RM, 4, 5, &a, &b, UnitBackend::Fast);
-            for threads in [0usize, 1, 2, 3, 7] {
-                let (c_par, s_par) = LinearArray::multiply_batched_parallel(
-                    F,
-                    RM,
-                    4,
-                    5,
-                    &a,
-                    &b,
-                    UnitBackend::Fast,
-                    threads,
-                );
-                assert_eq!(c_seq, c_par, "values n={n} threads={threads}");
-                assert_eq!(s_seq, s_par, "stats n={n} threads={threads}");
+        for backend in [UnitBackend::Fast, UnitBackend::Structural] {
+            for (n, lm, la) in [(2usize, 3u32, 4u32), (5, 4, 5), (8, 9, 12), (12, 4, 5)] {
+                let a = sample(n, n as f64);
+                let b = sample(n, n as f64 + 0.5);
+                let (c_seq, s_seq) = LinearArray::multiply(F, RM, lm, la, &a, &b, backend);
+                let (c_bat, s_bat) = LinearArray::multiply_batched(F, RM, lm, la, &a, &b, backend);
+                let what = format!("n={n} lm={lm} la={la} {backend:?}");
+                assert_eq!(c_seq, c_bat, "values {what}");
+                assert_eq!(s_seq, s_bat, "stats {what}");
             }
         }
-    }
-
-    #[test]
-    fn parallel_batched_flags_match() {
-        let a = Matrix::from_f64(F, 2, 2, &[f32::MAX as f64; 4]);
-        let b = Matrix::from_f64(F, 2, 2, &[f32::MAX as f64; 4]);
-        let mut arr = LinearArray::new(F, RM, 3, 4, 2, 2, UnitBackend::Fast);
-        arr.load_b(false, &b);
-        arr.stream_a_batched_parallel(&a, 2);
-        assert!(arr.flags().overflow);
     }
 
     #[test]
@@ -608,9 +470,11 @@ mod tests {
             let mut arr = LinearArray::new(F, RM, 3, 4, 2, 2, UnitBackend::Fast);
             arr.load_b(false, &b);
             if batched {
-                arr.stream_a_batched(&a);
+                arr.stream_a_tile_batched(&a, 2, 2, false);
+                arr.drain_batched();
             } else {
-                arr.stream_a(&a);
+                arr.stream_a_tile_from_bank(&a, 2, 2, false);
+                arr.drain();
             }
             arr.flags()
         };

@@ -1,4 +1,4 @@
-//! Scheduling: token streams and cycle accounting.
+//! Scheduling: the control token and cycle accounting.
 //!
 //! The inner loop visits the n rows of a rank-1 update; a given `c[i][j]`
 //! is touched once per inner period. To keep the accumulation
@@ -92,21 +92,6 @@ impl Schedule {
     pub fn waste_fraction(&self) -> f64 {
         self.pad_cycles() as f64 / self.issue_cycles() as f64
     }
-
-    /// The token stream, in issue order.
-    pub fn tokens(&self) -> impl Iterator<Item = Token> + '_ {
-        let n = self.n;
-        let period = self.padded_period();
-        (0..n).flat_map(move |k| {
-            (0..period).map(move |slot| Token {
-                a: 0, // filled by the driver from A[i][k]
-                i: slot.min(n - 1),
-                k,
-                pad: slot >= n,
-                bank: false, // the driver selects the active bank
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -135,20 +120,6 @@ mod tests {
     fn total_includes_skew_and_drain() {
         let s = Schedule::new(8, 10);
         assert_eq!(s.total_cycles(), 8 * 10 + 7 + 10);
-    }
-
-    #[test]
-    fn token_stream_structure() {
-        let s = Schedule::new(3, 5);
-        let tokens: Vec<Token> = s.tokens().collect();
-        assert_eq!(tokens.len(), 15); // 3 steps × padded period 5
-                                      // first period: rows 0,1,2 then two pads
-        assert!(!tokens[0].pad && tokens[0].i == 0 && tokens[0].k == 0);
-        assert!(!tokens[2].pad && tokens[2].i == 2);
-        assert!(tokens[3].pad && tokens[4].pad);
-        // second period starts at k=1
-        assert_eq!(tokens[5].k, 1);
-        assert!(!tokens[5].pad);
     }
 
     #[test]

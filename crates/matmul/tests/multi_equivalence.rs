@@ -272,6 +272,8 @@ fn edge_shapes_match_reference_at_ci_threads() {
         (2, 3, 4, 16), // block larger than every dim
         (13, 7, 11, 3),
         (16, 1, 16, 5),
+        (100, 37, 61, 16), // ragged in m, k and n
+        (7, 200, 3, 16),   // one output tile, 13 k-tiles, ragged last
     ];
     for &(m, k, n, b) in shapes {
         for fmt in FpFormat::PAPER_PRECISIONS {

@@ -284,7 +284,8 @@ fn mul_normal(e: u32, f: u32, a: u64, b: u64, mode: RoundMode) -> (u64, Flags) {
 /// limb datapath: on x86-64 every `u128` operation the old wide path
 /// leaned on — variable shifts, compares, `leading_zeros` — was a
 /// multi-instruction sequence, the same throughput gap the narrow split
-/// closed for f32 (BENCH_PR5: ~34 Mop/s for f32 fma before the fix).
+/// closed for f32 (~34 Mop/s for f32 fma before the fix; EXPERIMENTS.md,
+/// "fma fast-lane throughput fix").
 #[inline(always)]
 fn fma_normal(e: u32, f: u32, a: u64, b: u64, c: u64, mode: RoundMode) -> (u64, Flags) {
     if 2 * f + FMA_GRS + 4 <= 64 {
